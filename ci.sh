@@ -191,6 +191,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== benchmark crate =="
+# benchmark/ is a workspace of its own that compiles against the crates'
+# public API; build and test it here so an API change that breaks it
+# fails CI rather than the benchmark run.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "== corruption suites under the VerifyPreset::All default =="
 # The trusted-decode presets must never leak into corruption-facing paths:
 # re-run the corruption/equivalence suites (their decoders go through the

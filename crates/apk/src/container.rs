@@ -199,7 +199,7 @@ impl Sapk {
             return Err(ApkError::UnsupportedVersion(version));
         }
         let stored = buf.get_u32_le();
-        if preset.checks_checksum() {
+        if preset.verifies() {
             let computed = adler32(buf);
             if stored != computed {
                 return Err(ApkError::ChecksumMismatch { stored, computed });

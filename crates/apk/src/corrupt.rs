@@ -126,7 +126,7 @@ pub fn corrupt(bytes: &[u8], kind: CorruptionKind) -> Vec<u8> {
         },
         CorruptionKind::ClobberLookupTable { slot_num } => match clobber_lut(bytes, slot_num) {
             Some(out) => out,
-            // No non-empty lookup table anywhere (pre-v3 blob, typeless
+            // No non-empty lookup table anywhere (lut-less blob, typeless
             // dex, corrupt input): degrade to a checksum-caught bit flip.
             None => corrupt(bytes, CorruptionKind::BitFlip { pos_num: slot_num }),
         },

@@ -38,18 +38,16 @@ use std::sync::OnceLock;
 
 /// Magic bytes at the start of every SDEX blob.
 pub const SDEX_MAGIC: [u8; 4] = *b"SDEX";
-/// Current SDEX format version: version 2 lowered every data-bearing
-/// instruction onto virtual registers (`const-string vA`, `move vA vB`,
-/// explicit invoke argument lists) and records a per-method register count;
-/// version 3 appends an optional **type lookup table** section after the
-/// class table — a precomputed open-addressing hash over type names
-/// (modelled on ART's `TypeLookupTable`) that makes [`Dex::type_by_name`]
-/// an O(1) probe instead of a linear scan.
+/// The SDEX format version — the only one the encoder emits and the only
+/// one the decoders accept; any other version fails fast with
+/// [`ApkError::UnsupportedVersion`]. Data-bearing instructions carry
+/// virtual-register operands (`const-string vA`, `move vA vB`, explicit
+/// invoke argument lists), every method records its register count, and
+/// an optional **type lookup table** section follows the class table — a
+/// precomputed open-addressing hash over type names (modelled on ART's
+/// `TypeLookupTable`) that makes [`Dex::type_by_name`] an O(1) probe
+/// instead of a linear scan.
 pub const SDEX_VERSION: u16 = 3;
-/// Oldest version the decoders still accept — the original straight-line
-/// layout without register operands. Version-1 bodies decode into the
-/// register IR with every operand lowered onto `v0`.
-pub const SDEX_MIN_VERSION: u16 = 1;
 
 /// How much validation the SDEX decoders perform, mirroring dexrs's
 /// `VerifyPreset`.
@@ -60,14 +58,11 @@ pub const SDEX_MIN_VERSION: u16 = 1;
 ///   acyclicity, and lookup-table canonicality. This is the default and the
 ///   only preset that is sound on bytes an adversary (or bit rot) may have
 ///   touched; every corruption test runs under it.
-/// * [`ChecksumOnly`](VerifyPreset::ChecksumOnly) — header plus the
-///   Adler-32 checksum; the per-entry structural re-validation is skipped.
-///   Sound for blobs that already passed `All` once and are re-read through
-///   a checksummed transport (e.g. resume-cache-validated shards).
-/// * [`None`](VerifyPreset::None) — header only; even the checksum is
-///   skipped. Sound only for generator-produced bytes that never left the
-///   process boundary, or shard entries whose enclosing WSHD checksum was
-///   verified by the container layer this read.
+/// * [`None`](VerifyPreset::None) — header only; the checksum and the
+///   structural validation are skipped. Sound only for generator-produced
+///   bytes that never left the process boundary, or shard entries whose
+///   enclosing WSHD checksum was verified by the container layer this
+///   read.
 ///
 /// Soundness note: [`Dex::string`] slices the pool with
 /// `from_utf8_unchecked`, justified under `All` because every span is
@@ -79,21 +74,15 @@ pub enum VerifyPreset {
     /// Full validation — the corruption-facing default.
     #[default]
     All,
-    /// Header + Adler-32 checksum; structural re-validation skipped.
-    ChecksumOnly,
     /// Header only; checksum and structural validation skipped.
     None,
 }
 
 impl VerifyPreset {
-    /// Whether the Adler-32 body checksum is compared against the header.
-    pub fn checks_checksum(self) -> bool {
-        !matches!(self, VerifyPreset::None)
-    }
-
-    /// Whether per-entry structural validation runs (UTF-8, index bounds,
+    /// Whether the decoder verifies the blob: the Adler-32 body checksum
+    /// against the header, then per-entry structure (UTF-8, index bounds,
     /// instruction operands, hierarchy acyclicity, lookup-table rebuild).
-    pub fn checks_structure(self) -> bool {
+    pub fn verifies(self) -> bool {
         matches!(self, VerifyPreset::All)
     }
 }
@@ -188,9 +177,9 @@ impl InvokeKind {
 
 /// One SDEX instruction. The set is intentionally small: exactly what the
 /// call-graph builder (invokes), decompiler (all of it), and the
-/// constant-propagation pass that recovers string arguments need. Since
-/// wire version 2 the data-bearing instructions carry register operands, so
-/// URL recovery is def-use tracking rather than an adjacency accident.
+/// constant-propagation pass that recovers string arguments need. The
+/// data-bearing instructions carry register operands, so URL recovery is
+/// def-use tracking rather than an adjacency accident.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Instruction {
     /// Call the referenced method, passing the listed argument registers.
@@ -311,11 +300,8 @@ impl Instruction {
         }
     }
 
-    /// Decode one instruction at wire `version`. Version 1 is the
-    /// pre-register layout: no operand registers on the wire, so every
-    /// decoded operand is lowered onto `v0` (the compatibility register)
-    /// and `move` is not a valid opcode.
-    fn decode<B: Buf>(buf: &mut B, version: u16) -> Result<Self, ApkError> {
+    /// Decode one instruction.
+    fn decode<B: Buf>(buf: &mut B) -> Result<Self, ApkError> {
         if !buf.has_remaining() {
             return Err(ApkError::Truncated {
                 context: "instruction opcode",
@@ -331,33 +317,21 @@ impl Instruction {
                 }
                 let kind = InvokeKind::from_byte(buf.get_u8())?;
                 let method = MethodId(get_uvarint(buf)? as u32);
-                let args = if version >= 2 {
-                    let argc = get_uvarint(buf)?;
-                    if argc > MAX_INVOKE_ARGS {
-                        return Err(ApkError::Invalid("invoke argument count exceeds 255"));
-                    }
-                    let mut args = Vec::with_capacity(argc as usize);
-                    for _ in 0..argc {
-                        args.push(Reg(get_uvarint(buf)? as u16));
-                    }
-                    args
-                } else {
-                    vec![Reg(0)]
-                };
+                let argc = get_uvarint(buf)?;
+                if argc > MAX_INVOKE_ARGS {
+                    return Err(ApkError::Invalid("invoke argument count exceeds 255"));
+                }
+                let mut args = Vec::with_capacity(argc as usize);
+                for _ in 0..argc {
+                    args.push(Reg(get_uvarint(buf)? as u16));
+                }
                 Instruction::Invoke { kind, method, args }
             }
-            OP_CONST_STRING => {
-                let dst = if version >= 2 {
-                    Reg(get_uvarint(buf)? as u16)
-                } else {
-                    Reg(0)
-                };
-                Instruction::ConstString {
-                    dst,
-                    string: get_uvarint(buf)? as u32,
-                }
-            }
-            OP_MOVE if version >= 2 => Instruction::Move {
+            OP_CONST_STRING => Instruction::ConstString {
+                dst: Reg(get_uvarint(buf)? as u16),
+                string: get_uvarint(buf)? as u32,
+            },
+            OP_MOVE => Instruction::Move {
                 dst: Reg(get_uvarint(buf)? as u16),
                 src: Reg(get_uvarint(buf)? as u16),
             },
@@ -462,9 +436,9 @@ pub struct Dex {
     /// hashing, and [`Dex::class`] — the hottest lookup in call-graph
     /// construction — is a bounds-checked load.
     class_index: Box<[u32]>,
-    /// Stored type lookup table (the v3 wire section): slot count a power
-    /// of two, each slot `type_index + 1` or `0` for empty. `None` for
-    /// v1/v2 blobs and for v3 blobs encoded without the section.
+    /// Stored type lookup table (the optional wire section): slot count a
+    /// power of two, each slot `type_index + 1` or `0` for empty. `None`
+    /// for blobs encoded without the section.
     lut: Option<Box<[u32]>>,
     /// Lazily built fallback probe table for lut-less dexes, so repeated
     /// name lookups stop being O(types) even without the wire section.
@@ -737,18 +711,17 @@ impl Dex {
 
     /// Parse an SDEX blob under an explicit [`VerifyPreset`].
     ///
-    /// `All` is full validation (the corruption-facing default);
-    /// `ChecksumOnly` keeps the Adler-32 gate but skips the per-entry
-    /// structural re-validation; `None` additionally skips the checksum.
-    /// The trusted presets still parse every table (truncation and varint
+    /// `All` is full validation (the corruption-facing default); `None`
+    /// skips the Adler-32 gate and the per-entry structural re-validation.
+    /// The trusted preset still parses every table (truncation and varint
     /// malformations are detected — the cursor has to walk the bytes
-    /// anyway) and still bounds-check string spans against the blob, so
-    /// they can never read out of bounds; what they skip is the *semantic*
+    /// anyway) and still bounds-checks string spans against the blob, so it
+    /// can never read out of bounds; what it skips is the *semantic*
     /// re-validation (UTF-8, index ranges, register bounds, hierarchy
     /// acyclicity, lookup-table canonicality) already performed when the
     /// blob was first admitted to the corpus.
     pub fn decode_bytes_with(raw: Bytes, preset: VerifyPreset) -> Result<Dex, ApkError> {
-        let verify = preset.checks_structure();
+        let verify = preset.verifies();
         if raw.len() > u32::MAX as usize {
             // Spans are u32; real SDEX blobs are megabytes, not gigabytes.
             return Err(ApkError::Invalid("sdex blob exceeds 4 GiB"));
@@ -770,11 +743,11 @@ impl Dex {
             return Err(ApkError::Truncated { context: "header" });
         }
         let version = buf.get_u16_le();
-        if !(SDEX_MIN_VERSION..=SDEX_VERSION).contains(&version) {
+        if version != SDEX_VERSION {
             return Err(ApkError::UnsupportedVersion(version));
         }
         let stored = buf.get_u32_le();
-        if preset.checks_checksum() {
+        if verify {
             let computed = adler32(buf);
             if stored != computed {
                 return Err(ApkError::ChecksumMismatch { stored, computed });
@@ -857,16 +830,11 @@ impl Dex {
                     });
                 }
                 let fl = buf.get_u8();
-                let registers = if version >= 2 {
-                    get_uvarint(&mut buf)? as u32
-                } else {
-                    // Version-1 operands all lower onto v0.
-                    1
-                };
+                let registers = get_uvarint(&mut buf)? as u32;
                 let code_len = get_uvarint(&mut buf)? as usize;
                 let mut code = Vec::with_capacity(code_len.min(1 << 16));
                 for _ in 0..code_len {
-                    let ins = Instruction::decode(&mut buf, version)?;
+                    let ins = Instruction::decode(&mut buf)?;
                     if verify {
                         validate_instruction(
                             &ins,
@@ -904,51 +872,47 @@ impl Dex {
             });
         }
 
-        let lut = if version >= 3 {
-            if !buf.has_remaining() {
-                return Err(ApkError::Truncated {
-                    context: "lookup-table flag",
-                });
-            }
-            match buf.get_u8() {
-                0 => None,
-                _ => {
-                    let slot_count = get_uvarint(&mut buf)? as usize;
-                    // Size guards run under every preset: the remaining-bytes
-                    // check stops a forged count from driving a huge
-                    // allocation, and the probe mask needs a power of two.
-                    if buf.remaining() / 4 < slot_count {
-                        return Err(ApkError::Truncated {
-                            context: "lookup-table slots",
-                        });
-                    }
-                    if !slot_count.is_power_of_two() {
-                        return Err(ApkError::Invalid("lookup table size not a power of two"));
-                    }
-                    let mut slots = Vec::with_capacity(slot_count);
-                    for _ in 0..slot_count {
-                        slots.push(buf.get_u32_le());
-                    }
-                    let slots = slots.into_boxed_slice();
-                    if verify {
-                        for &v in slots.iter() {
-                            if v != 0 {
-                                check_index("type", v - 1, types.len())?;
-                            }
-                        }
-                        let canonical = build_type_lut(types.len(), |t| {
-                            let s = strings[types[t as usize] as usize];
-                            &full[s.off as usize..(s.off + s.len) as usize]
-                        });
-                        if canonical != slots {
-                            return Err(ApkError::Invalid("lookup table mismatch"));
-                        }
-                    }
-                    Some(slots)
+        if !buf.has_remaining() {
+            return Err(ApkError::Truncated {
+                context: "lookup-table flag",
+            });
+        }
+        let lut = match buf.get_u8() {
+            0 => None,
+            _ => {
+                let slot_count = get_uvarint(&mut buf)? as usize;
+                // Size guards run under every preset: the remaining-bytes
+                // check stops a forged count from driving a huge
+                // allocation, and the probe mask needs a power of two.
+                if buf.remaining() / 4 < slot_count {
+                    return Err(ApkError::Truncated {
+                        context: "lookup-table slots",
+                    });
                 }
+                if !slot_count.is_power_of_two() {
+                    return Err(ApkError::Invalid("lookup table size not a power of two"));
+                }
+                let mut slots = Vec::with_capacity(slot_count);
+                for _ in 0..slot_count {
+                    slots.push(buf.get_u32_le());
+                }
+                let slots = slots.into_boxed_slice();
+                if verify {
+                    for &v in slots.iter() {
+                        if v != 0 {
+                            check_index("type", v - 1, types.len())?;
+                        }
+                    }
+                    let canonical = build_type_lut(types.len(), |t| {
+                        let s = strings[types[t as usize] as usize];
+                        &full[s.off as usize..(s.off + s.len) as usize]
+                    });
+                    if canonical != slots {
+                        return Err(ApkError::Invalid("lookup table mismatch"));
+                    }
+                }
+                Some(slots)
             }
-        } else {
-            None
         };
 
         if buf.has_remaining() {
@@ -1301,7 +1265,7 @@ pub mod oracle {
     /// check for check so the equivalence suite can pin the two across
     /// every preset.
     pub fn decode_with(raw: &[u8], preset: VerifyPreset) -> Result<OwnedDex, ApkError> {
-        let verify = preset.checks_structure();
+        let verify = preset.verifies();
         if raw.len() > u32::MAX as usize {
             // Mirrors the span-width guard in `Dex::decode_bytes` so the
             // two decoders stay equivalent on every input.
@@ -1323,11 +1287,11 @@ pub mod oracle {
             return Err(ApkError::Truncated { context: "header" });
         }
         let version = buf.get_u16_le();
-        if !(SDEX_MIN_VERSION..=SDEX_VERSION).contains(&version) {
+        if version != SDEX_VERSION {
             return Err(ApkError::UnsupportedVersion(version));
         }
         let stored = buf.get_u32_le();
-        if preset.checks_checksum() {
+        if verify {
             let computed = adler32(buf);
             if stored != computed {
                 return Err(ApkError::ChecksumMismatch { stored, computed });
@@ -1413,16 +1377,11 @@ pub mod oracle {
                     });
                 }
                 let fl = buf.get_u8();
-                let registers = if version >= 2 {
-                    get_uvarint(&mut buf)? as u32
-                } else {
-                    // Version-1 operands all lower onto v0.
-                    1
-                };
+                let registers = get_uvarint(&mut buf)? as u32;
                 let code_len = get_uvarint(&mut buf)? as usize;
                 let mut code = Vec::with_capacity(code_len.min(1 << 16));
                 for _ in 0..code_len {
-                    let ins = Instruction::decode(&mut buf, version)?;
+                    let ins = Instruction::decode(&mut buf)?;
                     if verify {
                         validate_instruction(
                             &ins,
@@ -1453,43 +1412,41 @@ pub mod oracle {
             });
         }
 
-        // v3 lookup-table section: parsed (and at `All` verified) exactly
+        // Lookup-table section: parsed (and at `All` verified) exactly
         // like the zero-copy decoder, then dropped — the owning
         // representation predates the section and name lookups on it are
         // not on any hot path.
-        if version >= 3 {
-            if !buf.has_remaining() {
+        if !buf.has_remaining() {
+            return Err(ApkError::Truncated {
+                context: "lookup-table flag",
+            });
+        }
+        if buf.get_u8() != 0 {
+            let slot_count = get_uvarint(&mut buf)? as usize;
+            if buf.remaining() / 4 < slot_count {
                 return Err(ApkError::Truncated {
-                    context: "lookup-table flag",
+                    context: "lookup-table slots",
                 });
             }
-            if buf.get_u8() != 0 {
-                let slot_count = get_uvarint(&mut buf)? as usize;
-                if buf.remaining() / 4 < slot_count {
-                    return Err(ApkError::Truncated {
-                        context: "lookup-table slots",
-                    });
-                }
-                if !slot_count.is_power_of_two() {
-                    return Err(ApkError::Invalid("lookup table size not a power of two"));
-                }
-                let mut slots = Vec::with_capacity(slot_count);
-                for _ in 0..slot_count {
-                    slots.push(buf.get_u32_le());
-                }
-                let slots = slots.into_boxed_slice();
-                if verify {
-                    for &v in slots.iter() {
-                        if v != 0 {
-                            check_index("type", v - 1, types.len())?;
-                        }
+            if !slot_count.is_power_of_two() {
+                return Err(ApkError::Invalid("lookup table size not a power of two"));
+            }
+            let mut slots = Vec::with_capacity(slot_count);
+            for _ in 0..slot_count {
+                slots.push(buf.get_u32_le());
+            }
+            let slots = slots.into_boxed_slice();
+            if verify {
+                for &v in slots.iter() {
+                    if v != 0 {
+                        check_index("type", v - 1, types.len())?;
                     }
-                    let canonical = build_type_lut(types.len(), |t| {
-                        strings[types[t as usize] as usize].as_bytes()
-                    });
-                    if canonical != slots {
-                        return Err(ApkError::Invalid("lookup table mismatch"));
-                    }
+                }
+                let canonical = build_type_lut(types.len(), |t| {
+                    strings[types[t as usize] as usize].as_bytes()
+                });
+                if canonical != slots {
+                    return Err(ApkError::Invalid("lookup table mismatch"));
                 }
             }
         }
@@ -1687,12 +1644,23 @@ mod tests {
 
     #[test]
     fn unsupported_version_rejected() {
-        let mut bytes = sample_dex().encode().to_vec();
-        bytes[4] = 0xff; // version LE low byte
-        assert!(matches!(
-            Dex::decode(&bytes),
-            Err(ApkError::UnsupportedVersion(_))
-        ));
+        // Only the version the encoder emits decodes; the older register-
+        // less (1) and lut-less (2) layouts fail fast like any unknown one.
+        let blob = sample_dex().encode().to_vec();
+        for version in [0u16, 1, 2, SDEX_VERSION + 1, 0xff] {
+            let mut bytes = blob.clone();
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            for preset in [VerifyPreset::All, VerifyPreset::None] {
+                assert!(matches!(
+                    Dex::decode_bytes_with(Bytes::from(bytes.clone()), preset),
+                    Err(ApkError::UnsupportedVersion(v)) if v == version
+                ));
+                assert!(matches!(
+                    oracle::decode_with(&bytes, preset),
+                    Err(ApkError::UnsupportedVersion(v)) if v == version
+                ));
+            }
+        }
     }
 
     #[test]
@@ -1883,102 +1851,11 @@ mod tests {
         }
     }
 
-    /// Hand-assemble a version-1 body (no register operands on the wire).
-    /// `count` is the instruction count; `code` the pre-encoded bytes.
-    fn v1_blob(count: u64, code: &[u8]) -> Vec<u8> {
-        let mut body = BytesMut::new();
-        // strings: "com/x/A", "f", "()V", "https://v1.example"
-        put_uvarint(&mut body, 4);
-        for s in ["com/x/A", "f", "()V", "https://v1.example"] {
-            put_string(&mut body, s);
-        }
-        // types: [string 0]
-        put_uvarint(&mut body, 1);
-        put_uvarint(&mut body, 0);
-        // methods: [(type 0, name 1, desc 2)]
-        put_uvarint(&mut body, 1);
-        for idx in [0u64, 1, 2] {
-            put_uvarint(&mut body, idx);
-        }
-        // one class: type 0, no superclass, public, one method
-        put_uvarint(&mut body, 1);
-        put_uvarint(&mut body, 0);
-        body.put_u8(0);
-        put_uvarint(
-            &mut body,
-            ClassFlags {
-                public: true,
-                ..Default::default()
-            }
-            .to_bits(),
-        );
-        put_uvarint(&mut body, 1);
-        put_uvarint(&mut body, 0); // method id
-        body.put_u8(1); // public
-                        // no `registers` varint in version 1
-        put_uvarint(&mut body, count);
-        body.put_slice(code);
-        let mut out = Vec::new();
-        out.extend_from_slice(&SDEX_MAGIC);
-        out.extend_from_slice(&1u16.to_le_bytes());
-        out.extend_from_slice(&adler32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
-    }
-
-    #[test]
-    fn version1_blob_decodes_onto_v0() {
-        // const-string #3; invoke-virtual kind=0 method=0; return-void —
-        // the old adjacency layout, one byte-coded instruction each.
-        let blob = v1_blob(3, &[OP_CONST_STRING, 3, OP_INVOKE, 0, 0, OP_RETURN_VOID]);
-        let dex = Dex::decode(&blob).unwrap();
-        let m = &dex.classes()[0].methods[0];
-        assert_eq!(m.registers, 1);
-        assert_eq!(
-            m.code,
-            vec![
-                Instruction::ConstString {
-                    dst: Reg(0),
-                    string: 3,
-                },
-                Instruction::Invoke {
-                    kind: InvokeKind::Virtual,
-                    method: MethodId(0),
-                    args: vec![Reg(0)],
-                },
-                Instruction::ReturnVoid,
-            ]
-        );
-        // The oracle decoder takes the identical compatibility path.
-        let owned = oracle::decode(&blob).unwrap();
-        assert_eq!(dex, owned);
-        // Re-encoding upgrades to the current version.
-        let upgraded = Dex::decode(&dex.encode()).unwrap();
-        assert_eq!(dex, upgraded);
-    }
-
-    #[test]
-    fn move_opcode_invalid_in_version1() {
-        let blob = v1_blob(2, &[OP_MOVE, 0, 0, OP_RETURN_VOID]);
-        assert!(matches!(
-            Dex::decode(&blob),
-            Err(ApkError::BadOpcode(OP_MOVE))
-        ));
-        assert!(matches!(
-            oracle::decode(&blob),
-            Err(ApkError::BadOpcode(OP_MOVE))
-        ));
-    }
-
     #[test]
     fn trusted_presets_decode_valid_blobs_identically() {
         let dex = sample_dex();
         let blob = dex.encode();
-        for preset in [
-            VerifyPreset::All,
-            VerifyPreset::ChecksumOnly,
-            VerifyPreset::None,
-        ] {
+        for preset in [VerifyPreset::All, VerifyPreset::None] {
             let zc = Dex::decode_bytes_with(blob.clone(), preset).unwrap();
             assert_eq!(zc, dex, "{preset:?}");
             let owned = oracle::decode_with(&blob, preset).unwrap();
@@ -1988,19 +1865,17 @@ mod tests {
 
     #[test]
     fn preset_gates_engage_in_order() {
-        // A flipped body byte: All and ChecksumOnly stop at the adler gate,
-        // None sails past it (the damage lands in an instruction stream the
+        // A flipped body byte: All stops at the adler gate, None sails
+        // past it (the damage lands in an instruction stream the
         // trusted parse still walks structurally).
         let blob = sample_dex().encode().to_vec();
         let mut bad = blob.clone();
         let i = blob.len() - 3;
         bad[i] ^= 0x40;
-        for preset in [VerifyPreset::All, VerifyPreset::ChecksumOnly] {
-            assert!(matches!(
-                Dex::decode_bytes_with(Bytes::from(bad.clone()), preset),
-                Err(ApkError::ChecksumMismatch { .. })
-            ));
-        }
+        assert!(matches!(
+            Dex::decode_bytes_with(Bytes::from(bad.clone()), VerifyPreset::All),
+            Err(ApkError::ChecksumMismatch { .. })
+        ));
         // Under None the checksum is not consulted at all — whatever
         // happens next is a structural parse outcome, never a mismatch.
         assert!(!matches!(
@@ -2029,17 +1904,29 @@ mod tests {
         }
     }
 
+    /// The sample dex encoded with the lookup-table flag cleared — the
+    /// blob shape the `use_lut = false` path produces.
+    fn lutless_blob() -> Bytes {
+        let mut dex = sample_dex();
+        dex.discard_lookup_table();
+        dex.encode()
+    }
+
     #[test]
     fn lazy_probe_table_builds_without_wire_section() {
-        // A v1 blob has no lookup-table section; the first name lookup
-        // builds the fallback probe table once.
-        let blob = v1_blob(1, &[OP_RETURN_VOID]);
-        let dex = Dex::decode(&blob).unwrap();
+        // A lut-less blob decodes under both decoders; the first name
+        // lookup builds the fallback probe table once.
+        let blob = lutless_blob();
+        let dex = Dex::decode_bytes(blob.clone()).unwrap();
         assert!(!dex.has_lookup_table());
         assert!(!dex.lookup_table_rebuilt());
-        assert_eq!(dex.type_by_name("com/x/A"), Some(TypeId(0)));
+        assert_eq!(dex, sample_dex());
+        assert_eq!(dex, oracle::decode(&blob).unwrap());
+        let webview = dex.type_by_name("android/webkit/WebView");
+        assert!(webview.is_some());
         assert!(dex.lookup_table_rebuilt());
-        assert_eq!(dex.type_by_name("com/x/B"), None);
+        assert_eq!(dex.type_by_name("android/webkit/WebView"), webview);
+        assert_eq!(dex.type_by_name("com/x/Missing"), None);
     }
 
     #[test]
@@ -2059,64 +1946,23 @@ mod tests {
             | Err(ApkError::IndexOutOfRange { .. }) => {}
             other => panic!("damaged table accepted: {other:?}"),
         }
-        // Trusted presets take the stored table at face value.
-        assert!(Dex::decode_bytes_with(blob, VerifyPreset::ChecksumOnly).is_ok());
+        // The trusted preset takes the stored table at face value.
+        assert!(Dex::decode_bytes_with(blob, VerifyPreset::None).is_ok());
     }
 
     #[test]
     fn absent_lookup_table_flag_roundtrips() {
-        // A v3 body with flag 0 (no table) decodes and re-encodes as-is.
-        let dex = sample_dex();
-        let blob = dex.encode();
-        // Strip the lut by decoding a v2-shaped body: reuse the v1 helper's
-        // idea — here just check a decoded v1 re-encode carries flag 0.
-        let v1 = Dex::decode(&v1_blob(1, &[OP_RETURN_VOID])).unwrap();
-        assert!(!v1.has_lookup_table());
-        let re = v1.encode();
-        let back = Dex::decode(&re).unwrap();
+        // A body with flag 0 (no table) decodes and re-encodes as-is.
+        let lutless = lutless_blob();
+        let back = Dex::decode_bytes(lutless.clone()).unwrap();
         assert!(!back.has_lookup_table());
-        assert_eq!(v1, back);
+        assert_eq!(&back.encode()[..], &lutless[..]);
         // And the sample's stored table re-encodes verbatim (canonicality).
+        let blob = sample_dex().encode();
         assert_eq!(
             &Dex::decode_bytes(blob.clone()).unwrap().encode()[..],
             &blob[..]
         );
-    }
-
-    /// Hand-assemble the sample dex body at wire version 2 (registers, no
-    /// lookup-table section) to pin decode compatibility.
-    fn v2_blob() -> Vec<u8> {
-        let dex = sample_dex();
-        let v3 = dex.encode();
-        // The v3 body is the v2 body plus the trailing lut section; strip
-        // the section (flag byte + count varint + slots) and re-stamp.
-        let slots = match &dex.lut {
-            Some(s) => s.len(),
-            None => unreachable!("builder dexes carry a lut"),
-        };
-        let mut count_len = Vec::new();
-        put_uvarint(&mut count_len, slots as u64);
-        let body_end = v3.len() - (1 + count_len.len() + slots * 4);
-        let body = &v3[10..body_end];
-        let mut out = Vec::new();
-        out.extend_from_slice(&SDEX_MAGIC);
-        out.extend_from_slice(&2u16.to_le_bytes());
-        out.extend_from_slice(&adler32(body).to_le_bytes());
-        out.extend_from_slice(body);
-        out
-    }
-
-    #[test]
-    fn version2_blob_decodes_without_lut() {
-        let blob = v2_blob();
-        let dex = Dex::decode(&blob).unwrap();
-        assert!(!dex.has_lookup_table());
-        assert_eq!(dex, sample_dex());
-        let owned = oracle::decode(&blob).unwrap();
-        assert_eq!(dex, owned);
-        // Name lookups still work through the lazy fallback table.
-        assert!(dex.type_by_name("android/webkit/WebView").is_some());
-        assert!(dex.lookup_table_rebuilt());
     }
 
     #[test]

@@ -128,19 +128,9 @@ fn bench(c: &mut Criterion) {
         })
     });
     // Verify-preset ablation (DESIGN.md §6.9): the same zero-copy decode
-    // with per-string UTF-8 + structural re-validation skipped
-    // (checksum-only) and with the checksum skipped too (trusted). The
-    // trusted row is the ISSUE's ≥1.5x bar against `decode_zero_copy`.
-    group.bench_function("decode_checksum_only", |b| {
-        b.iter(|| {
-            for blob in &dex_blobs {
-                black_box(
-                    Dex::decode_bytes_with(black_box(blob.clone()), VerifyPreset::ChecksumOnly)
-                        .unwrap(),
-                );
-            }
-        })
-    });
+    // with the checksum, per-string UTF-8 and structural re-validation
+    // skipped (trusted), gated against `decode_zero_copy` by
+    // `ci.sh bench-check`'s trusted-decode floor.
     group.bench_function("decode_trusted", |b| {
         b.iter(|| {
             for blob in &dex_blobs {

@@ -1,8 +1,7 @@
 //! URL-provenance resolution cost: the intra-procedural constant
 //! propagation pass versus the linear pending-string heuristic it
-//! replaced (DESIGN.md §6.5), at both the per-graph annotation layer and
-//! the end-to-end pipeline (the `use_dataflow` ablation knob behind
-//! EXPERIMENTS.md's provenance table).
+//! replaced (DESIGN.md §6.5) over identical call-graph sites, plus the
+//! end-to-end pipeline the pass runs inside.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wla_core::wla_apk::{Dex, Sapk, SectionTag};
@@ -75,27 +74,20 @@ fn bench(c: &mut Criterion) {
             }
         })
     });
-    // End-to-end cost of the pass: full pipeline with the knob on vs off.
-    for use_dataflow in [true, false] {
-        let label = if use_dataflow {
-            "pipeline_dataflow"
-        } else {
-            "pipeline_ablated"
-        };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                run_pipeline(
-                    black_box(&inputs),
-                    &catalog,
-                    PipelineConfig {
-                        workers: 4,
-                        use_dataflow,
-                        ..PipelineConfig::default()
-                    },
-                )
-            })
-        });
-    }
+    // The full pipeline the pass runs inside; the annotation rows above
+    // carry the ablation within one run.
+    group.bench_function("pipeline_dataflow", |b| {
+        b.iter(|| {
+            run_pipeline(
+                black_box(&inputs),
+                &catalog,
+                PipelineConfig {
+                    workers: 4,
+                    ..PipelineConfig::default()
+                },
+            )
+        })
+    });
     group.finish();
 }
 

@@ -13,6 +13,6 @@ fn main() {
     // timers, throughput, and the failure taxonomy behind "broken".
     println!(
         "{}",
-        wla_core::experiments::pipeline_stats_report(&static_run).render()
+        wla_core::stats::render_pipeline_stats(&static_run.stats)
     );
 }

@@ -26,9 +26,10 @@
 pub mod experiments;
 pub mod paper;
 pub mod service;
+pub mod stats;
 pub mod study;
 
-pub use service::{analysis_routes, server_stats_report, service_router};
+pub use service::{analysis_routes, service_router};
 pub use study::{CrawlRun, DynamicRun, FunnelRun, StaticRun, Study};
 
 // Re-export the sub-crates so downstream users need only one dependency.

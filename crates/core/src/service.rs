@@ -191,22 +191,6 @@ pub fn analysis_json(analysis: &AppAnalysis, ctx: &AnalysisCtx<'_>) -> String {
     )
 }
 
-/// Flatten a live server's counters into `wla-report`'s renderable form.
-pub fn server_stats_report(snap: &wla_net::ServerStatsSnapshot) -> wla_report::ServerStatsReport {
-    wla_report::ServerStatsReport {
-        accepted: snap.accepted,
-        shed: snap.shed,
-        active: snap.active,
-        idle_closed: snap.idle_closed,
-        requests: snap.requests,
-        keepalive_requests: snap.keepalive_requests,
-        parse_failures: snap.parse_failures,
-        requests_per_connection: snap.requests_per_connection,
-        p50_us: snap.p50_us,
-        p99_us: snap.p99_us,
-    }
-}
-
 /// The 422 body: the stable machine-readable error kind plus the human
 /// detail line.
 pub fn analysis_error_json(e: &ApkError) -> String {
@@ -290,23 +274,6 @@ mod tests {
         let resp = router.dispatch(&Request::get("/analyze"));
         assert_eq!(resp.status, Status::MethodNotAllowed);
         assert_eq!(resp.header("allow"), Some("POST"));
-    }
-
-    #[test]
-    fn server_stats_report_renders_snapshot() {
-        let snap = wla_net::ServerStatsSnapshot {
-            accepted: 10,
-            requests: 30,
-            keepalive_requests: 20,
-            requests_per_connection: 3.0,
-            p50_us: 12.5,
-            p99_us: 800.0,
-            ..Default::default()
-        };
-        let rendered = server_stats_report(&snap).render();
-        assert!(rendered.contains("HTTP server summary"), "{rendered}");
-        assert!(rendered.contains("3.00"), "{rendered}");
-        assert!(rendered.contains("800.0 us"), "{rendered}");
     }
 
     #[test]

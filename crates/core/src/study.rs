@@ -32,7 +32,7 @@ pub struct StaticRun {
     /// Aggregated pipeline results.
     pub results: StudyResults,
     /// Pipeline observability: throughput, per-stage timers, failure
-    /// taxonomy (rendered by `wla-report`'s stats module).
+    /// taxonomy (rendered by [`crate::stats::render_pipeline_stats`]).
     pub stats: PipelineStats,
     /// The popularity threshold used for "top SDK" status, rescaled from
     /// the paper's >100 apps.

@@ -149,6 +149,17 @@ pub struct CrawlInternerCounters {
     pub classify_misses: u64,
 }
 
+impl CrawlInternerCounters {
+    /// Fraction of intern calls absorbed by worker-local tables.
+    pub fn local_hit_rate(&self) -> f64 {
+        let total = self.local_hits + self.local_misses;
+        if total == 0 {
+            return 0.0;
+        }
+        self.local_hits as f64 / total as f64
+    }
+}
+
 /// Crawl observability: what ran, what failed, where the time went.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CrawlStats {
@@ -185,6 +196,14 @@ pub struct CrawlStats {
 }
 
 impl CrawlStats {
+    /// Visit throughput over the whole run.
+    pub fn visits_per_second(&self) -> f64 {
+        if self.total_ns == 0 {
+            return 0.0;
+        }
+        self.visits_total as f64 / (self.total_ns as f64 * 1e-9)
+    }
+
     /// Busy fraction of the pool: summed worker busy time over
     /// `workers × wall`. 1.0 means no worker ever starved.
     pub fn utilization(&self) -> f64 {

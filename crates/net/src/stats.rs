@@ -1,6 +1,6 @@
 //! Server observability: connection and request counters plus a service
 //! -time histogram, shared by the readiness-loop server's event loops and
-//! snapshotted for rendering by `wla-report`.
+//! snapshotted for rendering by `wla-core`'s stats tables.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

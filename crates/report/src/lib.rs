@@ -8,14 +8,10 @@
 pub mod compare;
 pub mod figure;
 pub mod json;
-pub mod provenance;
-pub mod stats;
 pub mod table;
 
 pub use compare::{Comparison, ComparisonRow, Verdict};
 pub use figure::{bar_chart, heatmap, Series};
-pub use provenance::UrlOriginReport;
-pub use stats::{CrawlStatsReport, PipelineStatsReport, ServerStatsReport};
 pub use table::Table;
 
 /// Format an integer with thousands separators, as the paper prints them.

@@ -100,9 +100,14 @@ pub struct UrlOriginCensus {
 }
 
 impl UrlOriginCensus {
+    /// URL-bearing sites classified.
+    pub fn total_sites(&self) -> usize {
+        self.resolved_sites + self.unknown_sites + self.conflict_sites
+    }
+
     /// Fraction of URL-bearing sites resolved to a constant.
     pub fn resolved_rate(&self) -> f64 {
-        let total = self.resolved_sites + self.unknown_sites + self.conflict_sites;
+        let total = self.total_sites();
         if total == 0 {
             return 0.0;
         }

@@ -13,8 +13,8 @@ use std::time::Instant;
 use wla_apk::names::WEBVIEW_CONTENT_METHODS;
 use wla_apk::{ApkError, Dex, Sapk, VerifyPreset};
 use wla_callgraph::{
-    entry_points, provenance_oracle, record_web_calls_with, CallGraph, CallGraphCounters,
-    ReachScratch, UrlOrigin, WebCallRecord,
+    entry_points, record_web_calls_with, CallGraph, CallGraphCounters, ReachScratch, UrlOrigin,
+    WebCallRecord,
 };
 use wla_corpus::playstore::AppMeta;
 use wla_decompile::webview_subclasses_dex_interned;
@@ -66,8 +66,6 @@ impl StageTimings {
 pub struct DecodeCounters {
     /// Dex decodes under [`VerifyPreset::All`].
     pub full: u64,
-    /// Dex decodes under [`VerifyPreset::ChecksumOnly`].
-    pub checksum_only: u64,
     /// Dex decodes under [`VerifyPreset::None`] (fully trusted).
     pub trusted: u64,
     /// Decoded dexes that carried a stored (wire-format) lookup table and
@@ -82,23 +80,12 @@ pub struct DecodeCounters {
 impl DecodeCounters {
     /// Dex decodes across all presets.
     pub fn total(&self) -> u64 {
-        self.full + self.checksum_only + self.trusted
-    }
-
-    /// Fraction of decodes that skipped structural re-validation
-    /// (`ChecksumOnly` + `None` over the total).
-    pub fn trusted_rate(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        (self.checksum_only + self.trusted) as f64 / total as f64
+        self.full + self.trusted
     }
 
     /// Accumulate another worker's counters into this one.
     pub fn merge(&mut self, other: &DecodeCounters) {
         self.full += other.full;
-        self.checksum_only += other.checksum_only;
         self.trusted += other.trusted;
         self.lut_present += other.lut_present;
         self.lut_rebuilds += other.lut_rebuilds;
@@ -125,11 +112,6 @@ pub struct AnalysisCtx<'c> {
     /// accumulated across this worker's apps; traversal counters stay on
     /// `reach` until [`AnalysisCtx::callgraph_counters`] folds them in.
     pub graph_counters: CallGraphCounters,
-    /// Resolve URL-argument provenance with the register dataflow pass
-    /// (default). When `false`, the legacy single-pending-string oracle
-    /// ([`wla_callgraph::provenance_oracle`]) annotates sites instead —
-    /// the ablation the `url_provenance` bench measures.
-    pub use_dataflow: bool,
     /// Constant-propagation counters (blocks, fixpoint iterations,
     /// resolved/unknown/conflict sites) accumulated across this worker's
     /// apps.
@@ -157,7 +139,6 @@ impl<'c> AnalysisCtx<'c> {
             labels: LabelCache::new(),
             reach: ReachScratch::new(),
             graph_counters: CallGraphCounters::default(),
-            use_dataflow: true,
             dataflow: DataflowCounters::default(),
             verify_preset: VerifyPreset::All,
             use_lut: true,
@@ -411,13 +392,8 @@ fn finish_analysis(
             ctx.graph_counters
                 .absorb_build(&graph.build_stats(), graph.edge_count());
             // URL-argument provenance rides on the site stream before
-            // recording: the dataflow pass by default, the legacy
-            // pending-string oracle under ablation.
-            if ctx.use_dataflow {
-                dataflow::annotate(dex, graph.sites_mut(), &mut ctx.dataflow);
-            } else {
-                provenance_oracle::annotate(dex, graph.sites_mut());
-            }
+            // recording.
+            dataflow::annotate(dex, graph.sites_mut(), &mut ctx.dataflow);
             let roots = entry_points(&graph, &manifest);
             record_web_calls_with(
                 &graph,
@@ -514,7 +490,6 @@ fn decode_rest(apk: Sapk, ctx: &mut AnalysisCtx<'_>) -> Result<(Manifest, Vec<De
         let mut dex = Dex::decode_bytes_with(s.data.clone(), ctx.verify_preset)?;
         match ctx.verify_preset {
             VerifyPreset::All => ctx.decode.full += 1,
-            VerifyPreset::ChecksumOnly => ctx.decode.checksum_only += 1,
             VerifyPreset::None => ctx.decode.trusted += 1,
         }
         if !ctx.use_lut {
@@ -625,8 +600,9 @@ mod tests {
 
     #[test]
     fn ablated_pending_string_oracle_resolves_nothing_shuffled() {
-        // Under ablation (the legacy single-pending-string heuristic) the
-        // register shuffle defeats every site: the move chain between the
+        // The legacy single-pending-string heuristic, run over the call
+        // graph's sites in place of the dataflow pass: the register
+        // shuffle defeats every site, because the move chain between the
         // const-string and the invoke always clears the pending string.
         let mut sites_seen = 0usize;
         for seed in 0..20 {
@@ -634,14 +610,29 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let bytes = lower(&spec, &catalog, &mut rng).encode();
             let mut ctx = AnalysisCtx::new(&catalog);
-            ctx.use_dataflow = false;
-            let analysis = analyze_app_timed_with(meta(), &bytes, &mut ctx).0.unwrap();
-            for s in analysis.webview_sites.iter().filter(|s| s.is_load_method) {
-                assert_eq!(s.origin, UrlOrigin::Unknown, "seed {seed}");
-                assert!(s.argument.is_none());
-                sites_seen += 1;
+            let (manifest, dexes) = Sapk::decode(&bytes)
+                .and_then(|apk| decode_rest(apk, &mut ctx))
+                .unwrap();
+            let subclasses = webview_subclasses_dex_interned(&dexes, &mut ctx.lexicon);
+            for dex in &dexes {
+                let mut graph = CallGraph::build(dex);
+                wla_callgraph::provenance_oracle::annotate(dex, graph.sites_mut());
+                let roots = entry_points(&graph, &manifest);
+                let record = record_web_calls_with(
+                    &graph,
+                    &roots,
+                    &subclasses,
+                    ctx.catalog,
+                    &mut ctx.lexicon,
+                    &mut ctx.labels,
+                    &mut ctx.reach,
+                );
+                for s in record.reachable_webview().filter(|s| s.is_load_method) {
+                    assert_eq!(s.origin, UrlOrigin::Unknown, "seed {seed}");
+                    assert!(s.argument.is_none());
+                    sites_seen += 1;
+                }
             }
-            assert_eq!(ctx.dataflow.methods, 0, "ablation must skip the pass");
         }
         assert!(sites_seen > 0);
     }

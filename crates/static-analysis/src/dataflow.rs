@@ -95,6 +95,14 @@ impl DataflowCounters {
         self.conflict_sites += other.conflict_sites;
     }
 
+    /// Fraction of methods that took the branch-free linear fast path.
+    pub fn linear_rate(&self) -> f64 {
+        if self.methods == 0 {
+            return 0.0;
+        }
+        self.linear_methods as f64 / self.methods as f64
+    }
+
     /// Total invokes classified.
     pub fn sites(&self) -> u64 {
         self.resolved_sites + self.unknown_sites + self.conflict_sites

@@ -17,7 +17,7 @@
 //! - **Observability.** [`PipelineStats`] carries per-stage timers,
 //!   per-worker counters, interner counters, throughput, and a failure
 //!   taxonomy, surfaced through [`PipelineOutput::stats`] and rendered by
-//!   `wla-report`.
+//!   `wla-core`'s stats tables.
 //!
 //! Interned-IR lifecycle: each worker interns into a private
 //! [`LocalInterner`] (no synchronization while analyzing); at join time
@@ -70,10 +70,6 @@ pub struct PipelineConfig {
     /// Collect per-stage timers into [`PipelineStats::stage`]. Costs four
     /// monotonic-clock reads per app; disable for pure-throughput runs.
     pub stage_timings: bool,
-    /// Resolve URL provenance with the constant-propagation pass
-    /// (default). `false` ablates to the linear pending-string heuristic
-    /// — the bench knob behind EXPERIMENTS.md's provenance table.
-    pub use_dataflow: bool,
     /// Decode-time verification depth per container. Defaults to
     /// [`VerifyPreset::All`] — the corruption-facing setting. The trusted
     /// presets are *only* sound on corpora whose bytes were validated
@@ -93,7 +89,6 @@ impl Default for PipelineConfig {
             workers: 0,
             batch: 0,
             stage_timings: true,
-            use_dataflow: true,
             verify_preset: VerifyPreset::All,
             use_lut: true,
         }
@@ -387,7 +382,6 @@ where
             .map(|_| {
                 scope.spawn(|| {
                     let mut ctx = AnalysisCtx::new(catalog);
-                    ctx.use_dataflow = config.use_dataflow;
                     ctx.verify_preset = config.verify_preset;
                     ctx.use_lut = config.use_lut;
                     let mut y = WorkerYield::empty();
@@ -849,12 +843,10 @@ mod tests {
             // Default preset is All: every dex decode is a full decode,
             // every generator dex carries a stored lookup table, and no
             // lazy rebuild should ever fire.
-            prop_assert_eq!(s.decode.checksum_only, 0);
             prop_assert_eq!(s.decode.trusted, 0);
             prop_assert!(s.decode.full >= s.analyzed as u64);
             prop_assert_eq!(s.decode.lut_present, s.decode.full);
             prop_assert_eq!(s.decode.lut_rebuilds, 0);
-            prop_assert!(s.decode.trusted_rate() == 0.0);
             if s.analyzed > 0 {
                 prop_assert!(s.callgraph.edges > 0);
                 prop_assert!(s.callgraph.edges_traversed > 0);

@@ -146,7 +146,6 @@ pub fn run_pipeline_streamed(
             .map(|_| {
                 scope.spawn(|| {
                     let mut ctx = AnalysisCtx::new(catalog);
-                    ctx.use_dataflow = config.pipeline.use_dataflow;
                     ctx.verify_preset = config.pipeline.verify_preset;
                     ctx.use_lut = config.pipeline.use_lut;
                     let mut y = WorkerYield::empty();

@@ -7,7 +7,7 @@
 //! cargo run --release --example streamed_corpus -- /tmp/wla-shards 500
 //! ```
 
-use whatcha_lookin_at::experiments::pipeline_stats_report;
+use whatcha_lookin_at::stats::render_pipeline_stats;
 use whatcha_lookin_at::wla_static::StreamConfig;
 use whatcha_lookin_at::Study;
 
@@ -26,7 +26,7 @@ fn main() {
     let run = study
         .run_static_streamed(&dir, StreamConfig::default())
         .expect("streamed run");
-    println!("{}", pipeline_stats_report(&run).render());
+    println!("{}", render_pipeline_stats(&run.stats));
     println!(
         "\napps using WebViews: {} — identical to Study::run_static at any worker count",
         run.results.webview_apps

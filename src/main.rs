@@ -10,6 +10,7 @@
 //! wla serve   [--port N] [--smoke]     analysis-as-a-service HTTP server
 //! ```
 
+use whatcha_lookin_at::stats::{render_crawl_stats, render_server_stats};
 use whatcha_lookin_at::wla_report::thousands;
 use whatcha_lookin_at::wla_static::{grade_distribution, privacy_label};
 use whatcha_lookin_at::{experiments, Study};
@@ -131,7 +132,7 @@ fn main() {
             );
             print_exp(&experiments::fig6(&run));
             print_exp(&experiments::fig7());
-            eprintln!("{}", experiments::crawl_stats_report(&run).render());
+            eprintln!("{}", render_crawl_stats(&run.stats));
         }
         "labels" => {
             eprintln!("deriving privacy labels at scale 1:{} …", study.scale);
@@ -234,8 +235,7 @@ fn serve(args: &Args) {
             eprintln!("smoke healthz returned {:?}", resp.status);
             std::process::exit(1);
         }
-        let report = whatcha_lookin_at::server_stats_report(&server.stats().snapshot());
-        println!("{}", report.render());
+        println!("{}", render_server_stats(&server.stats().snapshot()));
         server.shutdown();
         println!("smoke ok");
         return;
@@ -244,8 +244,7 @@ fn serve(args: &Args) {
     // Foreground service: report stats once a minute until killed.
     loop {
         std::thread::sleep(std::time::Duration::from_secs(60));
-        let report = whatcha_lookin_at::server_stats_report(&server.stats().snapshot());
-        eprintln!("{}", report.render());
+        eprintln!("{}", render_server_stats(&server.stats().snapshot()));
     }
 }
 

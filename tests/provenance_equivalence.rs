@@ -17,12 +17,18 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use whatcha_lookin_at::wla_apk::sdex::{Instruction, InvokeKind, MethodId, Reg};
-use whatcha_lookin_at::wla_callgraph::provenance_oracle::pending_strings;
-use whatcha_lookin_at::wla_callgraph::{Provenance, UrlOrigin};
+use whatcha_lookin_at::wla_apk::{Dex, Sapk, SectionTag};
+use whatcha_lookin_at::wla_callgraph::provenance_oracle::{self, pending_strings};
+use whatcha_lookin_at::wla_callgraph::{
+    entry_points, record_web_calls_with, CallGraph, Provenance, ReachScratch, UrlOrigin,
+};
 use whatcha_lookin_at::wla_corpus::{CorpusConfig, Generator};
-use whatcha_lookin_at::wla_sdk_index::SdkIndex;
+use whatcha_lookin_at::wla_decompile::webview_subclasses_dex_interned;
+use whatcha_lookin_at::wla_intern::LocalInterner;
+use whatcha_lookin_at::wla_manifest::{wireformat, Manifest};
+use whatcha_lookin_at::wla_sdk_index::{LabelCache, SdkIndex};
 use whatcha_lookin_at::wla_static::dataflow::method_provenance;
-use whatcha_lookin_at::wla_static::{analyze_app_timed_with, AnalysisCtx, DataflowCounters};
+use whatcha_lookin_at::wla_static::{analyze_app, DataflowCounters};
 
 /// Build a branch-free, adjacency-shaped method body: a run of call
 /// units, each either "armed" (`const-string rN; nop*; invoke(rN)`) or
@@ -81,6 +87,53 @@ proptest! {
     }
 }
 
+/// Origins of one container's reachable URL-bearing sites (WebView load
+/// methods and CT `launchUrl`), with each call graph's sites annotated by
+/// the pending-string oracle in place of the dataflow pass.
+fn oracle_url_origins(bytes: &[u8], catalog: &SdkIndex) -> Vec<UrlOrigin> {
+    let apk = Sapk::decode(bytes).expect("clean container decodes");
+    let manifest: Manifest = wireformat::decode(apk.manifest_bytes().unwrap()).unwrap();
+    let dexes: Vec<Dex> = apk
+        .sections()
+        .iter()
+        .filter(|s| s.tag == SectionTag::Dex)
+        .map(|s| Dex::decode_bytes(s.data.clone()).unwrap())
+        .collect();
+    let mut lexicon = LocalInterner::new();
+    let mut labels = LabelCache::new();
+    let mut reach = ReachScratch::new();
+    let subclasses = webview_subclasses_dex_interned(&dexes, &mut lexicon);
+    let mut origins = Vec::new();
+    for dex in &dexes {
+        let mut graph = CallGraph::build(dex);
+        provenance_oracle::annotate(dex, graph.sites_mut());
+        let roots = entry_points(&graph, &manifest);
+        let record = record_web_calls_with(
+            &graph,
+            &roots,
+            &subclasses,
+            catalog,
+            &mut lexicon,
+            &mut labels,
+            &mut reach,
+        );
+        origins.extend(
+            record
+                .reachable_webview()
+                .filter(|s| s.is_load_method)
+                .map(|s| s.origin),
+        );
+        origins.extend(
+            record
+                .custom_tabs
+                .iter()
+                .filter(|s| s.reachable && s.is_launch)
+                .map(|s| s.origin),
+        );
+    }
+    origins
+}
+
 /// On the register-shuffled corpus the relationship is strict dominance:
 /// the pass resolves every URL-bearing site, the heuristic none of them.
 #[test]
@@ -97,34 +150,26 @@ fn dataflow_strictly_dominates_oracle_on_shuffled_corpus() {
     let mut flow_resolved = 0u64;
     let mut oracle_resolved = 0u64;
     for g in corpus.iter().filter(|g| !g.corrupted) {
-        for ablate in [false, true] {
-            let mut ctx = AnalysisCtx::new(&catalog);
-            ctx.use_dataflow = !ablate;
-            let analysis = analyze_app_timed_with(g.spec.meta.clone(), &g.bytes, &mut ctx)
-                .0
-                .expect("clean container analyzes");
-            let origins = analysis
-                .webview_sites
-                .iter()
-                .filter(|s| s.is_load_method)
-                .map(|s| s.origin)
-                .chain(
-                    analysis
-                        .ct_sites
-                        .iter()
-                        .filter(|s| s.is_launch)
-                        .map(|s| s.origin),
-                );
-            for origin in origins {
-                let hit = u64::from(origin == UrlOrigin::Resolved);
-                if ablate {
-                    oracle_resolved += hit;
-                } else {
-                    total += 1;
-                    flow_resolved += hit;
-                }
-            }
-        }
+        let analysis =
+            analyze_app(g.spec.meta.clone(), &g.bytes).expect("clean container analyzes");
+        let flow: Vec<UrlOrigin> = analysis
+            .webview_sites
+            .iter()
+            .filter(|s| s.is_load_method)
+            .map(|s| s.origin)
+            .chain(
+                analysis
+                    .ct_sites
+                    .iter()
+                    .filter(|s| s.is_launch)
+                    .map(|s| s.origin),
+            )
+            .collect();
+        let oracle = oracle_url_origins(&g.bytes, &catalog);
+        assert_eq!(oracle.len(), flow.len(), "same URL-bearing sites");
+        total += flow.len() as u64;
+        flow_resolved += flow.iter().filter(|&&o| o == UrlOrigin::Resolved).count() as u64;
+        oracle_resolved += oracle.iter().filter(|&&o| o == UrlOrigin::Resolved).count() as u64;
     }
 
     assert!(

@@ -1,21 +1,20 @@
 //! Equivalence pins for the trusted-corpus decode fast path.
 //!
-//! The decode presets (`All` / `ChecksumOnly` / `None`) skip progressively
-//! more re-validation on the streaming read path. Skipping checks must
-//! never change *what* a valid blob decodes to — only how fast — so these
-//! tests pin, across both decoders: preset-identical structures on valid
-//! generated blobs, wire compatibility across SDEX versions (v2 bodies
-//! have no lookup-table section; v3 adds one), and bit-identical streamed
-//! study results with the presets and the lookup-table knob toggled, at
-//! several worker counts. Trusted presets are only exercised on corpora
+//! The trusted decode preset (`None`) skips the checksum and structural
+//! re-validation that `All` performs on the streaming read path. Skipping
+//! checks must never change *what* a valid blob decodes to — only how
+//! fast — so these tests pin, across both decoders: preset-identical
+//! structures on valid generated blobs, with and without the optional
+//! lookup-table section, and bit-identical streamed study results with
+//! the preset and the lookup-table knob toggled, at several worker
+//! counts. Trusted presets are only exercised on corpora
 //! with `corrupt_fraction: 0.0` — on anything else `All` stays mandatory,
 //! which `tests/robustness.rs` pins separately.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use whatcha_lookin_at::wla_apk::sdex::{oracle, SDEX_MAGIC};
-use whatcha_lookin_at::wla_apk::wire::{adler32, put_uvarint};
+use whatcha_lookin_at::wla_apk::sdex::oracle;
 use whatcha_lookin_at::wla_apk::{Dex, Sapk, SectionTag, VerifyPreset};
 use whatcha_lookin_at::wla_corpus::ecosystem::{Ecosystem, EcosystemParams};
 use whatcha_lookin_at::wla_corpus::lowering::lower;
@@ -26,11 +25,7 @@ use whatcha_lookin_at::wla_static::{
     aggregate, run_pipeline_streamed, AnalysisCtx, PipelineConfig, StreamConfig,
 };
 
-const PRESETS: [VerifyPreset; 3] = [
-    VerifyPreset::All,
-    VerifyPreset::ChecksumOnly,
-    VerifyPreset::None,
-];
+const PRESETS: [VerifyPreset; 2] = [VerifyPreset::All, VerifyPreset::None];
 
 fn meta() -> AppMeta {
     AppMeta {
@@ -57,24 +52,6 @@ fn dex_blobs(seed: u64) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Strip the v3 lookup-table section off an encoded blob and restamp it as
-/// the given older `version` — byte-exact downgrade surgery, mirroring
-/// what a pre-lut writer would have produced.
-fn downgrade_blob(v3: &[u8], version: u16) -> Vec<u8> {
-    let dex = Dex::decode(v3).expect("valid v3 blob");
-    let slots = (dex.type_count() * 2).next_power_of_two();
-    let mut count_varint = Vec::new();
-    put_uvarint(&mut count_varint, slots as u64);
-    let lut_section = 1 + count_varint.len() + slots * 4;
-    let body = &v3[10..v3.len() - lut_section];
-    let mut out = Vec::with_capacity(10 + body.len());
-    out.extend_from_slice(&SDEX_MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&adler32(body).to_le_bytes());
-    out.extend_from_slice(body);
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -98,40 +75,30 @@ proptest! {
         }
     }
 
-    /// v2 wire compat: a v3 body minus its lookup-table section is exactly
-    /// a v2 body, so stripping the section and restamping still decodes —
-    /// to the same strings, types, and classes — under every preset, in
-    /// both decoders; name lookups work through the lazy probe table; and
-    /// re-encoding upgrades the blob to v3 with the lut-absent flag,
-    /// round-tripping cleanly. (v1 additionally changed the *instruction*
-    /// wire format, so it cannot be produced by byte surgery; the
-    /// hand-assembled v1 blobs in `sdex.rs` pin that compat path.)
+    /// Lookup-table-less blobs (the flag cleared, as `use_lut = false`
+    /// leaves them) decode to the same strings, types, and classes under
+    /// every preset, in both decoders; name lookups work through the lazy
+    /// probe table; and re-encoding round-trips byte for byte.
     #[test]
-    fn older_wire_versions_decode_under_every_preset(seed in 0u64..12) {
-        let version = 2u16;
+    fn lutless_blobs_decode_under_every_preset(seed in 0u64..12) {
         for (i, blob) in dex_blobs(seed).iter().enumerate() {
-            let v3 = Dex::decode(blob).expect("valid v3 blob");
-            let old = downgrade_blob(blob, version);
+            let mut full = Dex::decode(blob).expect("valid blob");
+            full.discard_lookup_table();
+            let lutless = full.encode();
             for preset in PRESETS {
-                let dex = Dex::decode_bytes_with(old.clone().into(), preset)
-                    .unwrap_or_else(|e| panic!("seed {seed} dex {i} v{version} {preset:?}: {e}"));
-                let slow = oracle::decode_with(&old, preset)
-                    .unwrap_or_else(|e| panic!("seed {seed} dex {i} v{version} oracle: {e}"));
-                prop_assert!(dex == slow, "seed {seed} dex {i} v{version} {preset:?}");
-                prop_assert!(!dex.has_lookup_table(), "old versions carry no lut");
-                // Same logical content as the v3 original.
-                prop_assert_eq!(dex.classes().len(), v3.classes().len());
-                for class in v3.classes() {
-                    let name = v3.type_name(class.ty);
+                let dex = Dex::decode_bytes_with(lutless.clone(), preset)
+                    .unwrap_or_else(|e| panic!("seed {seed} dex {i} {preset:?}: {e}"));
+                let slow = oracle::decode_with(&lutless, preset)
+                    .unwrap_or_else(|e| panic!("seed {seed} dex {i} {preset:?} oracle: {e}"));
+                prop_assert!(dex == slow, "seed {seed} dex {i} {preset:?}");
+                prop_assert!(dex == full, "seed {seed} dex {i} {preset:?}: content");
+                prop_assert!(!dex.has_lookup_table());
+                for class in full.classes() {
+                    let name = full.type_name(class.ty);
                     prop_assert!(dex.class_by_name(name).is_some(), "lookup of {}", name);
                 }
                 prop_assert!(dex.lookup_table_rebuilt(), "lazy probe table built");
-                // Re-encode emits current-version wire with the lut-absent
-                // flag; decoding that round-trips.
-                let upgraded = dex.encode();
-                let back = Dex::decode(&upgraded).expect("upgraded blob decodes");
-                prop_assert!(!back.has_lookup_table());
-                prop_assert!(back == dex, "upgrade round-trip");
+                prop_assert_eq!(&dex.encode()[..], &lutless[..]);
             }
         }
     }
@@ -193,7 +160,6 @@ fn streamed_results_identical_across_presets_and_lut() {
     for workers in [1usize, 3, 8] {
         for (preset, use_lut) in [
             (VerifyPreset::All, false),
-            (VerifyPreset::ChecksumOnly, true),
             (VerifyPreset::None, true),
             (VerifyPreset::None, false),
         ] {
@@ -213,15 +179,11 @@ fn streamed_results_identical_across_presets_and_lut() {
             let d = &out.stats.decode;
             match preset {
                 VerifyPreset::All => {
-                    assert_eq!(d.checksum_only + d.trusted, 0);
+                    assert_eq!(d.trusted, 0);
                     assert!(d.full > 0);
                 }
-                VerifyPreset::ChecksumOnly => {
-                    assert_eq!(d.full + d.trusted, 0);
-                    assert!(d.checksum_only > 0);
-                }
                 VerifyPreset::None => {
-                    assert_eq!(d.full + d.checksum_only, 0);
+                    assert_eq!(d.full, 0);
                     assert!(d.trusted > 0);
                 }
             }
