@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, and the full test suite.
+# Local CI gate: formatting, lints, rustdoc warnings, and the full test
+# suite.
 #
 # Codec regressions (e.g. the content-length and bare-\r bugs fixed in
 # the net crate) are exactly the kind of thing `clippy -D warnings` plus
@@ -187,6 +188,10 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc -D warnings =="
+# Broken or private intra-doc links otherwise accumulate unseen.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q
 
 echo "== cargo test =="
 cargo test --workspace -q

@@ -37,16 +37,7 @@ fn bench(c: &mut Criterion) {
     });
 
     group.bench_function("serial_interned", |b| {
-        b.iter(|| {
-            run_crawl_pipeline(
-                &sites,
-                Some(APPS),
-                CrawlConfig {
-                    workers: 1,
-                    ..CrawlConfig::default()
-                },
-            )
-        })
+        b.iter(|| run_crawl_pipeline(&sites, Some(APPS), CrawlConfig { workers: 1 }))
     });
 
     for workers in [2usize, 4, 8] {
@@ -54,16 +45,7 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("parallel", workers),
             &workers,
             |b, &workers| {
-                b.iter(|| {
-                    run_crawl_pipeline(
-                        &sites,
-                        Some(APPS),
-                        CrawlConfig {
-                            workers,
-                            ..CrawlConfig::default()
-                        },
-                    )
-                })
+                b.iter(|| run_crawl_pipeline(&sites, Some(APPS), CrawlConfig { workers }))
             },
         );
     }

@@ -76,28 +76,6 @@ fn bench(c: &mut Criterion) {
             });
         }
     }
-    // Batch-claiming ablation at fixed width: per-index claiming (batch=1)
-    // versus the auto-sized batches the scheduler picks by default.
-    for batch in [1usize, 0] {
-        let label = if batch == 1 {
-            "claim_per_index"
-        } else {
-            "claim_auto_batch"
-        };
-        group.bench_with_input(BenchmarkId::new(label, 8), &batch, |b, &batch| {
-            b.iter(|| {
-                run_pipeline(
-                    black_box(&inputs),
-                    &catalog,
-                    PipelineConfig {
-                        workers: 8,
-                        batch,
-                        ..PipelineConfig::default()
-                    },
-                )
-            })
-        });
-    }
     // Decode ablation: the zero-copy span-pool decoder versus the owning
     // per-entry-String oracle, over every dex blob of the same corpus.
     // The blobs are `Bytes` sections of their containers, so the zero-copy

@@ -358,14 +358,8 @@ mod tests {
 
     #[test]
     fn crawl_stats_render_from_a_real_run() {
-        let run = Study::default_experiment().run_crawl_parallel(
-            Some(&["Kik"]),
-            wla_dynamic::CrawlConfig {
-                workers: 2,
-                batch: 0,
-                oversubscribe: true,
-            },
-        );
+        let run = Study::default_experiment()
+            .run_crawl_parallel(Some(&["Kik"]), wla_dynamic::CrawlConfig { workers: 2 });
         let s = &run.stats;
         assert_eq!(s.visits_total, 200); // (baseline + Kik) x 100 sites
         assert_eq!(s.visits_completed, s.visits_total);

@@ -3,9 +3,8 @@
 use wla_corpus::playstore::{FilterSpec, MetadataUniverse, UniverseConfig};
 use wla_corpus::{top_thousand, CorpusConfig, GeneratedApp, Generator, TopAppSpec};
 use wla_dynamic::classify::{classify_top_apps, ClassificationOutcome, Table6Counts};
-use wla_dynamic::crawl_study::{run_crawl_study, run_crawl_study_parallel, CrawlStudy};
 use wla_dynamic::iab_study::{run_iab_study, IabStudy};
-use wla_dynamic::CrawlConfig;
+use wla_dynamic::{run_crawl_pipeline, CrawlConfig, CrawlOutput};
 use wla_sdk_index::SdkIndex;
 use wla_static::{
     aggregate, run_pipeline, run_pipeline_streamed, CorpusInput, PipelineConfig, PipelineStats,
@@ -68,7 +67,7 @@ pub struct DynamicRun {
 }
 
 /// Output of the crawl campaign (Figures 6a/6b).
-pub type CrawlRun = CrawlStudy;
+pub type CrawlRun = CrawlOutput;
 
 impl Study {
     /// New study at `scale` with `seed`.
@@ -199,15 +198,11 @@ impl Study {
         }
     }
 
-    /// Run the 100-site crawl campaign for the named apps (None = all 10).
-    pub fn run_crawl(&self, apps: Option<&[&str]>) -> CrawlRun {
-        run_crawl_study(None, apps)
-    }
-
-    /// [`Study::run_crawl`] on the parallel, fault-isolated pipeline —
-    /// bit-identical output to the serial run at any worker count.
+    /// Run the 100-site crawl campaign for the named apps (None = all 10)
+    /// on the parallel, fault-isolated pipeline — bit-identical output at
+    /// any worker count.
     pub fn run_crawl_parallel(&self, apps: Option<&[&str]>, config: CrawlConfig) -> CrawlRun {
-        run_crawl_study_parallel(None, apps, config)
+        run_crawl_pipeline(&wla_crawler::sites::top_100_sites(), apps, config)
     }
 }
 

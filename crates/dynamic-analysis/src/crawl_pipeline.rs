@@ -1,15 +1,16 @@
 //! Parallel, fault-isolated crawl pipeline on interned endpoint identities.
 //!
 //! The crawl matrix is `(baseline + selected apps) × sites`. Workers claim
-//! batches of visit indices from one atomic counter (the same scheduling
-//! discipline as `wla-static`'s pipeline), run each visit on its own
-//! [`VisitSession`] behind [`std::panic::catch_unwind`] — a poisoned site
-//! becomes a [`CrawlFailure`], never a dead run — and record endpoints as
+//! batches of visit indices on `wla-intern`'s claim pool
+//! ([`wla_intern::run_claims`], the same pool `wla-static`'s pipeline runs
+//! on), run each visit on its own [`VisitSession`] behind
+//! [`wla_intern::isolate`] (`catch_unwind`) — a poisoned site becomes a
+//! [`CrawlFailure`], never a dead run — and record endpoints as
 //! worker-local [`wla_intern::Symbol`]s with a per-host classification
 //! memo. The serial join tail merges worker buffers back into matrix
 //! order, translates local symbols into one global table with the
-//! deterministic input-order remap, and folds Figure 6 through the crawler
-//! crate's own row averaging.
+//! deterministic input-order remap ([`wla_intern::merge_in_order`]), and
+//! folds Figure 6 through the crawler crate's own row averaging.
 //!
 //! Determinism contract: for a given `(sites, apps)` input the output is
 //! bit-identical at any worker count — records, figures, failure list, and
@@ -18,8 +19,6 @@
 //! input-order walk. `tests/crawl_equivalence.rs` pins this down.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use wla_crawler::classify::{classify_third_party, is_first_party, EndpointKind};
@@ -28,42 +27,17 @@ use wla_crawler::sites::{site_page, SiteCategory, TopSite};
 use wla_device::iab::{all_profiles, IabProfile};
 use wla_device::session::VisitSession;
 use wla_device::webview::PreparedPage;
-use wla_intern::{Interner, LocalInterner, Symbol, SymbolRemap, SymbolTable, U32BuildHasher};
+use wla_intern::{
+    isolate, merge_in_order, run_claims, LocalInterner, Symbol, SymbolTable, U32BuildHasher,
+    WorkerStats,
+};
 
 /// Parallelism knobs for the crawl pipeline.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CrawlConfig {
-    /// Worker threads (0 ⇒ one per available core).
+    /// Worker threads (0 ⇒ one per available core). Batches are auto-sized
+    /// to about eight claims per worker, clamped to `1..=32`.
     pub workers: usize,
-    /// Visit indices claimed per `fetch_add` (0 ⇒ auto-size: enough
-    /// batches for ~8 claims per worker, clamped to `1..=32`).
-    pub batch: usize,
-    /// Allow more worker threads than the host has cores. Off by
-    /// default: the crawl is CPU-bound, so surplus threads only add
-    /// spawn and scheduling cost without touching the
-    /// (worker-count-independent) output. The equivalence tests switch
-    /// it on to drive true multi-threaded pools at every worker count
-    /// regardless of the host.
-    pub oversubscribe: bool,
-}
-
-impl CrawlConfig {
-    /// Resolve `workers == 0` to the host's available parallelism.
-    pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
-    }
-
-    fn effective_batch(&self, visits: usize, workers: usize) -> usize {
-        if self.batch > 0 {
-            self.batch
-        } else {
-            visits.div_ceil(workers * 8).clamp(1, 32)
-        }
-    }
 }
 
 /// Why a visit produced no record.
@@ -117,15 +91,15 @@ pub struct VisitRecord {
     pub kinds: Vec<EndpointKind>,
 }
 
-/// Per-worker scheduling counters (folded into [`CrawlStats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CrawlWorkerStats {
-    /// Visits this worker executed.
-    pub visits: usize,
-    /// Batches this worker claimed.
-    pub batches: usize,
-    /// Wall-clock nanoseconds inside claimed batches.
-    pub busy_ns: u64,
+impl VisitRecord {
+    /// Rewrite every symbol the record carries through `f`.
+    pub fn remap_symbols(&mut self, f: &mut impl FnMut(Symbol) -> Symbol) {
+        self.app = f(self.app);
+        self.site = f(self.site);
+        for h in &mut self.hosts {
+            *h = f(*h);
+        }
+    }
 }
 
 /// Interner and classification-memo counters, folded across workers.
@@ -181,8 +155,8 @@ pub struct CrawlStats {
     pub requests_logged: u64,
     /// Failure counts by taxonomy label.
     pub failure_kinds: BTreeMap<&'static str, usize>,
-    /// Per-worker scheduling counters.
-    pub workers: Vec<CrawlWorkerStats>,
+    /// Per-worker scheduling counters (items are visits).
+    pub workers: Vec<WorkerStats>,
     /// Nanoseconds preparing per-site pages (serial, before the pool).
     pub prepare_ns: u64,
     /// Summed worker busy nanoseconds.
@@ -261,28 +235,28 @@ impl CrawlOutput {
     }
 }
 
-/// Render a panic payload as text.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-/// What one worker brings back to the merge step.
-struct CrawlYield {
+/// One worker's state: what it has produced, plus its memos.
+#[derive(Default)]
+struct CrawlWorker {
     /// `(visit index, outcome)` in claim order (ascending in index).
     results: Vec<(usize, Result<VisitRecord, CrawlFailure>)>,
-    stats: CrawlWorkerStats,
     lexicon: LocalInterner,
     steps: u64,
     requests: u64,
     panicked: usize,
     classify_hits: u64,
     classify_misses: u64,
+    /// Per-visit distinct-host scratch.
+    seen: HashSet<Symbol, U32BuildHasher>,
+    /// Per-host classification memo, symbol-keyed: strings hash once at
+    /// intern time.
+    kind_memo: HashMap<Symbol, EndpointKind, U32BuildHasher>,
+    /// URL-identity memo: netlog URLs are `Arc`s shared across visits
+    /// (prepared subresources, endpoint-rule collect URLs), so the pointer
+    /// identifies the string and one lookup replaces the host parse +
+    /// intern. Entries own an `Arc` clone, pinning the allocation so an
+    /// address is never recycled under a live key.
+    host_memo: HostMemo,
 }
 
 /// The full visit matrix for one run.
@@ -343,118 +317,46 @@ where
     let prepare_ns = prepare_started.elapsed().as_nanos() as u64;
 
     let n = matrix.visits();
-    // Never run more threads than the host can execute (unless the
-    // caller opts into oversubscription — see [`CrawlConfig`]).
-    let cap = if config.oversubscribe {
-        usize::MAX
-    } else {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    };
-    let workers = config.effective_workers().min(cap).min(n.max(1));
-    let batch = config.effective_batch(n, workers);
-    let next = AtomicUsize::new(0);
-    let visit = &visit;
-    let matrix_ref = &matrix;
-
-    let worker_body = || {
-        let mut y = CrawlYield {
-            results: Vec::new(),
-            stats: CrawlWorkerStats::default(),
-            lexicon: LocalInterner::new(),
-            steps: 0,
-            requests: 0,
-            panicked: 0,
-            classify_hits: 0,
-            classify_misses: 0,
+    let n_sites = sites.len();
+    let run = run_claims(n, config.workers, 0, CrawlWorker::default, |y, t| {
+        let site = &matrix.sites[t % n_sites];
+        let page = &matrix.pages[t % n_sites];
+        let profile = matrix.rows[t / n_sites];
+        let app = profile.map_or(BASELINE_APP, |p| p.package);
+        let outcome = isolate(|| {
+            let mut session = VisitSession::new();
+            let obs = visit(site, page, profile, &mut session);
+            harvest(site, app, &session, obs, y)
+        });
+        let failure = |kind, message| CrawlFailure {
+            app: app.to_owned(),
+            site_host: site.host.clone(),
+            kind,
+            message,
         };
-        // Per-visit distinct-host scratch and the per-host classification
-        // memo, both symbol-keyed: strings hash once at intern time.
-        let mut seen: HashSet<Symbol, U32BuildHasher> = HashSet::default();
-        let mut kind_memo: HashMap<Symbol, EndpointKind, U32BuildHasher> = HashMap::default();
-        // URL-identity memo: netlog URLs are `Arc`s shared across visits
-        // (prepared subresources, endpoint-rule collect URLs), so the
-        // pointer identifies the string and one lookup replaces the
-        // host parse + intern. Entries own an `Arc` clone, pinning the
-        // allocation so an address is never recycled under a live key.
-        let mut host_memo: HostMemo = HashMap::default();
-        let n_sites = matrix_ref.sites.len();
-        loop {
-            let start = next.fetch_add(batch, Ordering::Relaxed);
-            if start >= n {
-                break;
+        let result = match outcome {
+            Ok(Some((record, steps, requests))) => {
+                y.steps += steps;
+                y.requests += requests;
+                Ok(record)
             }
-            let end = (start + batch).min(n);
-            y.stats.batches += 1;
-            let claimed = Instant::now();
-            for t in start..end {
-                let site = &matrix_ref.sites[t % n_sites];
-                let page = &matrix_ref.pages[t % n_sites];
-                let profile = matrix_ref.rows[t / n_sites];
-                let app = profile.map_or(BASELINE_APP, |p| p.package);
-                y.stats.visits += 1;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut session = VisitSession::new();
-                    let obs = visit(site, page, profile, &mut session);
-                    harvest(
-                        site,
-                        app,
-                        &session,
-                        obs,
-                        &mut y.lexicon,
-                        &mut seen,
-                        &mut kind_memo,
-                        &mut host_memo,
-                        &mut y.classify_hits,
-                        &mut y.classify_misses,
-                    )
-                }));
-                let result = match outcome {
-                    Ok(Some((record, steps, requests))) => {
-                        y.steps += steps;
-                        y.requests += requests;
-                        Ok(record)
-                    }
-                    Ok(None) => Err(CrawlFailure {
-                        app: app.to_owned(),
-                        site_host: site.host.clone(),
-                        kind: CrawlFailureKind::EmptyNetlog,
-                        message: String::new(),
-                    }),
-                    Err(payload) => {
-                        y.panicked += 1;
-                        Err(CrawlFailure {
-                            app: app.to_owned(),
-                            site_host: site.host.clone(),
-                            kind: CrawlFailureKind::VisitPanic,
-                            message: panic_message(payload),
-                        })
-                    }
-                };
-                y.results.push((t, result));
+            Ok(None) => Err(failure(CrawlFailureKind::EmptyNetlog, String::new())),
+            Err(message) => {
+                y.panicked += 1;
+                Err(failure(CrawlFailureKind::VisitPanic, message))
             }
-            y.stats.busy_ns += claimed.elapsed().as_nanos() as u64;
-        }
-        y
-    };
+        };
+        y.results.push((t, result));
+    });
 
-    // workers == 1 runs inline: the serial path has no pool to pay for,
-    // which keeps the serial-vs-parallel bench comparison honest.
-    let yields: Vec<CrawlYield> = if workers == 1 {
-        vec![worker_body()]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker_body)).collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .expect("worker bodies cannot panic: visits are wrapped in catch_unwind")
-                })
-                .collect()
-        })
-    };
-
-    join_crawl_yields(matrix_ref, &selected, batch, prepare_ns, started, yields)
+    join_crawl_yields(
+        &matrix,
+        &selected,
+        run.batch,
+        prepare_ns,
+        started,
+        run.workers,
+    )
 }
 
 /// One `host_memo` entry: the resolved host of a shared URL `Arc`. The
@@ -472,23 +374,26 @@ type HostMemo = HashMap<usize, HostEntry, U32BuildHasher>;
 /// Turn one completed visit's session into an interned record. Returns
 /// `None` when the netlog captured nothing (an [`CrawlFailureKind::EmptyNetlog`]
 /// failure at the call site).
-#[allow(clippy::too_many_arguments)]
 fn harvest(
     site: &TopSite,
     app: &str,
     session: &VisitSession,
     obs: VisitObservation,
-    lexicon: &mut LocalInterner,
-    seen: &mut HashSet<Symbol, U32BuildHasher>,
-    kind_memo: &mut HashMap<Symbol, EndpointKind, U32BuildHasher>,
-    host_memo: &mut HostMemo,
-    classify_hits: &mut u64,
-    classify_misses: &mut u64,
+    w: &mut CrawlWorker,
 ) -> Option<(VisitRecord, u64, u64)> {
     let requests = session.requests_logged() as u64;
     if requests == 0 {
         return None;
     }
+    let CrawlWorker {
+        lexicon,
+        seen,
+        kind_memo,
+        host_memo,
+        classify_hits,
+        classify_misses,
+        ..
+    } = w;
     let app_sym = lexicon.intern(app);
     let site_sym = lexicon.intern(&site.host);
     seen.clear();
@@ -550,13 +455,12 @@ fn join_crawl_yields(
     batch: usize,
     prepare_ns: u64,
     started: Instant,
-    yields: Vec<CrawlYield>,
+    yields: Vec<(CrawlWorker, WorkerStats)>,
 ) -> CrawlOutput {
     let tail_started = Instant::now();
     let n = matrix.visits();
     let n_sites = matrix.sites.len();
 
-    let mut merged: Vec<(usize, u32, Result<VisitRecord, CrawlFailure>)> = Vec::with_capacity(n);
     let mut stats = CrawlStats {
         visits_total: n,
         rows: matrix.rows.len(),
@@ -565,65 +469,29 @@ fn join_crawl_yields(
         prepare_ns,
         ..CrawlStats::default()
     };
-    let mut lexicons: Vec<LocalInterner> = Vec::with_capacity(yields.len());
-    for (w, y) in yields.into_iter().enumerate() {
-        merged.extend(y.results.into_iter().map(|(i, r)| (i, w as u32, r)));
+    let mut parts = Vec::with_capacity(yields.len());
+    for (y, worker) in yields {
         stats.visits_panicked += y.panicked;
         stats.steps_executed += y.steps;
         stats.requests_logged += y.requests;
-        stats.visit_ns += y.stats.busy_ns;
-        stats.workers.push(y.stats);
-        stats.interner.local_symbols += y.lexicon.len();
-        stats.interner.local_bytes += y.lexicon.bytes();
-        stats.interner.local_hits += y.lexicon.hits();
-        stats.interner.local_misses += y.lexicon.misses();
+        stats.visit_ns += worker.busy_ns;
+        stats.workers.push(worker);
         stats.interner.classify_hits += y.classify_hits;
         stats.interner.classify_misses += y.classify_misses;
-        lexicons.push(y.lexicon);
+        parts.push((y.results, y.lexicon));
     }
-    merged.sort_unstable_by_key(|&(i, _, _)| i);
-    assert_eq!(merged.len(), n, "batch claiming covers every visit");
-    debug_assert!(
-        merged.iter().enumerate().all(|(pos, &(i, _, _))| pos == i),
-        "batch claiming covers every visit exactly once"
-    );
-
-    // Three-phase local→global symbol translation, in matrix order — the
-    // same schedule-independent id assignment as `wla-static`'s join:
-    // record first occurrences per worker, batch-intern them in rank
-    // order, rewrite every record.
-    let interner = Interner::with_capacity(stats.interner.local_symbols);
-    let mut ranks: Vec<Vec<u32>> = lexicons.iter().map(|l| vec![u32::MAX; l.len()]).collect();
-    let mut order: Vec<(u32, Symbol)> = Vec::new();
-    {
-        let mut note = |w: u32, sym: Symbol, ranks: &mut Vec<Vec<u32>>| {
-            let rank = &mut ranks[w as usize];
-            if rank[sym.0 as usize] == u32::MAX {
-                rank[sym.0 as usize] = order.len() as u32;
-                order.push((w, sym));
-            }
-        };
-        for (_, w, result) in merged.iter() {
-            if let Ok(record) = result {
-                note(*w, record.app, &mut ranks);
-                note(*w, record.site, &mut ranks);
-                for &h in &record.hosts {
-                    note(*w, h, &mut ranks);
-                }
-            }
+    let merged = merge_in_order(n, parts, |result, f| {
+        if let Ok(record) = result {
+            record.remap_symbols(&mut |sym| f(sym));
         }
-    }
-    let arcs: Vec<Arc<str>> = order
-        .iter()
-        .map(|&(w, sym)| lexicons[w as usize].resolve_arc(sym))
-        .collect();
-    let globals = interner.intern_ordered(&arcs);
-    let mut remaps: Vec<SymbolRemap> = lexicons.iter().map(|l| SymbolRemap::new(l.len())).collect();
-    for (rank, &(w, sym)) in order.iter().enumerate() {
-        remaps[w as usize].set(sym, globals[rank]);
-    }
-    stats.interner.global_symbols = interner.len();
-    stats.interner.global_bytes = interner.bytes();
+    });
+    let c = merged.counters;
+    stats.interner.local_symbols = c.local_symbols;
+    stats.interner.local_bytes = c.local_bytes;
+    stats.interner.local_hits = c.local_hits;
+    stats.interner.local_misses = c.local_misses;
+    stats.interner.global_symbols = c.global_symbols;
+    stats.interner.global_bytes = c.global_bytes;
 
     // Rewrite records into the global namespace and split the matrix back
     // into rows. `cells[r][s]` is the (possibly failed) visit of site `s`
@@ -634,16 +502,9 @@ fn join_crawl_yields(
         .map(|_| (0..n_sites).map(|_| None).collect())
         .collect();
     let mut failures = Vec::new();
-    for (i, w, result) in merged {
+    for (i, result) in merged.items.into_iter().enumerate() {
         match result {
-            Ok(mut record) => {
-                let remap = &remaps[w as usize];
-                let translate = |sym: Symbol| remap.get(sym).expect("noted during phase A");
-                record.app = translate(record.app);
-                record.site = translate(record.site);
-                for h in &mut record.hosts {
-                    *h = translate(*h);
-                }
+            Ok(record) => {
                 cells[i / n_sites][i % n_sites] = Some(record);
             }
             Err(failure) => {
@@ -679,7 +540,7 @@ fn join_crawl_yields(
         per_app,
         figures,
         failures,
-        symbols: interner.snapshot(),
+        symbols: merged.interner.snapshot(),
         stats,
     }
 }
@@ -716,4 +577,84 @@ fn figure6_interned(
         .into_iter()
         .map(|(category, visits)| figure6_row(category, &visits))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wla_crawler::sites::top_100_sites;
+
+    /// The crawl over `sites` (the paper's top 100 when `None`) on one
+    /// inline worker.
+    fn run_serial(sites: Option<Vec<TopSite>>, apps: &[&str]) -> CrawlOutput {
+        let sites = sites.unwrap_or_else(top_100_sites);
+        run_crawl_pipeline(&sites, Some(apps), CrawlConfig { workers: 1 })
+    }
+
+    #[test]
+    fn linkedin_and_kik_figures_present() {
+        let study = run_serial(None, &["LinkedIn", "Kik"]);
+        assert_eq!(study.figures.len(), 2);
+        let li = study.figures.get("LinkedIn").unwrap();
+        let kik = study.figures.get("Kik").unwrap();
+        assert_eq!(li.len(), 10); // one row per site category
+        assert_eq!(kik.len(), 10);
+        // Every visit completed and was observed.
+        assert_eq!(study.stats.visits_total, 3 * 100);
+        assert_eq!(study.stats.visits_completed, 3 * 100);
+        assert_eq!(study.stats.visits_panicked, 0);
+        assert!(study.failures.is_empty());
+    }
+
+    #[test]
+    fn endpoints_isolated_to_the_iab() {
+        // "These endpoints were specific to LinkedIn's IAB and were not
+        // contacted by any other app's IAB" (§4.2.2).
+        let study = run_serial(None, &["LinkedIn", "Kik", "Snapchat"]);
+        let hosts_of = |app: &str| -> std::collections::BTreeSet<&str> {
+            study.per_app[app]
+                .iter()
+                .flat_map(|r| r.hosts.iter())
+                .map(|&h| study.symbols.resolve(h))
+                .collect()
+        };
+        let li_hosts = hosts_of("LinkedIn");
+        let kik_hosts = hosts_of("Kik");
+        assert!(li_hosts.iter().any(|h| h.contains("cedexis")));
+        assert!(!kik_hosts.iter().any(|h| h.contains("cedexis")));
+        assert!(kik_hosts.iter().any(|h| h.contains("mopub")));
+        assert!(!li_hosts.iter().any(|h| h.contains("mopub")));
+    }
+
+    #[test]
+    fn rich_categories_dominate_poor_ones() {
+        let study = run_serial(None, &["Kik"]);
+        let rows = study.figures.get("Kik").unwrap();
+        let by_cat: BTreeMap<SiteCategory, f64> =
+            rows.iter().map(|r| (r.category, r.avg_endpoints)).collect();
+        assert!(by_cat[&SiteCategory::News] > by_cat[&SiteCategory::Technology]);
+        assert!(by_cat[&SiteCategory::Shopping] > by_cat[&SiteCategory::Search]);
+    }
+
+    #[test]
+    fn stats_account_for_the_whole_matrix() {
+        let sites: Vec<TopSite> = top_100_sites().into_iter().take(20).collect();
+        let study = run_serial(Some(sites), &["Kik"]);
+        assert_eq!(study.stats.rows, 2);
+        assert_eq!(study.stats.sites, 20);
+        assert_eq!(study.stats.visits_total, 40);
+        // 10 script steps per visit.
+        assert_eq!(study.stats.steps_executed, 40 * 10);
+        assert!(study.stats.requests_logged > 0);
+        assert_eq!(study.stats.workers.len(), 1);
+        assert_eq!(study.stats.workers[0].items, 40);
+        // Each app/site/host string is interned once per worker but seen
+        // many times — the memo and interner must be doing their job.
+        assert!(study.stats.interner.local_hits > study.stats.interner.local_misses);
+        assert!(study.stats.classify_hit_rate() > 0.5, "{:?}", study.stats);
+        assert_eq!(
+            study.stats.interner.global_symbols,
+            study.stats.interner.local_symbols
+        );
+    }
 }

@@ -1,4 +1,4 @@
-//! # wla-intern — the interned-symbol IR shared by the static pipeline
+//! # wla-intern — interned symbols and the worker pool both pipelines share
 //!
 //! At corpus scale the static path (§3.1) is dominated by string churn:
 //! every call site used to materialize owned `String`s for method names,
@@ -13,9 +13,11 @@
 //!   lexicons merge into at pipeline join;
 //! * [`SymbolTable`] — an immutable snapshot of the global table for
 //!   display-time resolution at the report boundary;
-//! * [`SymbolRemap`] — the local→global rewrite cache used during the
-//!   merge, filled in input order (lazily, or batch-resolved via
-//!   [`Interner::intern_ordered`]) so global symbol ids are deterministic
+//! * [`pool`] — the claim-and-merge worker pool both pipelines run on:
+//!   [`run_claims`] spreads item indices over scoped threads, and
+//!   [`merge_in_order`] rewrites worker-local symbols into the global
+//!   table in input order (batch-resolved via
+//!   [`Interner::intern_ordered`]), so global symbol ids are deterministic
 //!   regardless of worker count or scheduling;
 //! * [`FxBuildHasher`] / [`U32BuildHasher`] — the multiplicative hashers
 //!   the hot maps use (strings hashed once at intern time, `u32` keys
@@ -25,6 +27,10 @@
 //! report-time resolve. A `Symbol` is only meaningful relative to the
 //! interner that produced it; the pipeline upholds this by remapping every
 //! analysis into the global namespace before results leave the join.
+
+pub mod pool;
+
+pub use pool::{isolate, merge_in_order, run_claims, MergeCounters, Merged, PoolRun, WorkerStats};
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -258,8 +264,8 @@ struct Shard {
 /// Thread-safe sharded interner: the global table per-worker lexicons
 /// merge into at pipeline join.
 ///
-/// A global symbol encodes its shard in the low [`SHARD_BITS`] bits
-/// (`(idx << SHARD_BITS) | shard`), so resolution never searches. Lookup
+/// A global symbol encodes its shard in its low bits (`(idx << 4) |
+/// shard`, for the [`SHARDS`] = 16 shards), so resolution never searches. Lookup
 /// is read-mostly: a read lock probes the shard map; only a genuine miss
 /// upgrades to the write lock (with a double-check, since another thread
 /// may have raced the insert).
@@ -514,58 +520,6 @@ impl SymbolTable {
     }
 }
 
-// ---------------------------------------------------------------------------
-// SymbolRemap
-// ---------------------------------------------------------------------------
-
-/// Local→global symbol rewrite cache for one worker lexicon.
-///
-/// Global id assignment must depend only on the corpus, never on worker
-/// count or scheduling — the property the `parallel_matches_serial`
-/// determinism tests pin down. Two usage styles uphold it:
-///
-/// * lazy ([`map`](Self::map)): walk results in *input order* and intern
-///   each local symbol globally on first encounter;
-/// * batched ([`set`](Self::set) + [`get`](Self::get)): record first
-///   occurrences in input order, intern them as one
-///   [`Interner::intern_ordered`] batch, write the resolved pairs back,
-///   then rewrite. The pipeline join uses this style.
-#[derive(Debug, Default)]
-pub struct SymbolRemap {
-    cache: Vec<Option<Symbol>>,
-}
-
-impl SymbolRemap {
-    /// A remap able to translate symbols `0..len` of one local interner.
-    pub fn new(len: usize) -> Self {
-        SymbolRemap {
-            cache: vec![None; len],
-        }
-    }
-
-    /// Translate `local`, calling `fill` (which should intern the resolved
-    /// string globally) only on first encounter.
-    pub fn map(&mut self, local: Symbol, fill: impl FnOnce() -> Symbol) -> Symbol {
-        let i = local.0 as usize;
-        if let Some(s) = self.cache[i] {
-            return s;
-        }
-        let s = fill();
-        self.cache[i] = Some(s);
-        s
-    }
-
-    /// The cached translation of `local`, if one has been recorded.
-    pub fn get(&self, local: Symbol) -> Option<Symbol> {
-        self.cache[local.0 as usize]
-    }
-
-    /// Record `local` → `global` directly (batched resolution style).
-    pub fn set(&mut self, local: Symbol, global: Symbol) {
-        self.cache[local.0 as usize] = Some(global);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,29 +588,6 @@ mod tests {
         for (sym, s) in syms {
             assert_eq!(table.resolve(sym), s);
         }
-    }
-
-    #[test]
-    fn remap_is_lazy_and_stable() {
-        let mut lex = LocalInterner::new();
-        let a = lex.intern("alpha");
-        let b = lex.intern("beta");
-        let global = Interner::new();
-        let mut remap = SymbolRemap::new(lex.len());
-        let mut fills = 0;
-        let ga = remap.map(a, || {
-            fills += 1;
-            global.intern_arc(lex.resolve_arc(a))
-        });
-        let ga2 = remap.map(a, || unreachable!("cached"));
-        let gb = remap.map(b, || {
-            fills += 1;
-            global.intern_arc(lex.resolve_arc(b))
-        });
-        assert_eq!(ga, ga2);
-        assert_ne!(ga, gb);
-        assert_eq!(fills, 2);
-        assert_eq!(&*global.resolve_arc(ga), "alpha");
     }
 
     /// Batch fixture with duplicates, shard collisions, and strings that

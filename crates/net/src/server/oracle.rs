@@ -6,8 +6,7 @@
 //! baseline the nonblocking server is measured against;
 //! [`Server::start_persistent`] runs the same blocking read path in a
 //! keep-alive loop, which — because both servers share the codec,
-//! [`error_response`](super::error_response),
-//! [`finalize_head`](super::finalize_head), and `Response::write_into` —
+//! `error_response`, `finalize_head`, and `Response::write_into` —
 //! makes its byte stream the reference the equivalence suite pins the
 //! nonblocking server against, pipelining included (the `BufReader`
 //! naturally carries buffered follow-on requests between iterations).

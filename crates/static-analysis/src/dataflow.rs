@@ -185,7 +185,7 @@ fn provenance_of(v: Option<Value>, counters: &mut DataflowCounters) -> Provenanc
 /// Resolve every invoke of `code` to a [`Provenance`], in code order.
 ///
 /// `registers` is the method's declared register count; the state vector
-/// is sized from it (clamped to [`MAX_TRACKED_REGISTERS`]).
+/// is sized from it (clamped to `MAX_TRACKED_REGISTERS`).
 pub fn method_provenance(
     code: &[Instruction],
     registers: u32,

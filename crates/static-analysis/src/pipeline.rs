@@ -1,38 +1,35 @@
 //! Fault-isolated, instrumented parallel corpus runner.
 //!
-//! Static analysis is CPU-bound, so the runner is a fixed pool of scoped
-//! threads claiming *batches* of app indices from one atomic counter — no
-//! async runtime, per the project's networking guides ("use threads for
-//! CPU-bound work"). Three properties the paper's scale (146.8K apps,
-//! Table 2) demands of it:
+//! Static analysis is CPU-bound, so the runner is `wla-intern`'s
+//! claim-and-merge pool ([`wla_intern::run_claims`]): a fixed set of
+//! scoped threads claiming *batches* of app indices from one atomic
+//! counter — no async runtime, per the project's networking guides ("use
+//! threads for CPU-bound work"). Three properties the paper's scale
+//! (146.8K apps, Table 2) demands of it:
 //!
 //! - **Fault isolation.** Each per-app analysis runs under
-//!   [`std::panic::catch_unwind`]; a panicking container becomes an
-//!   [`ApkError::AnalysisPanic`] result feeding the broken-apps row
-//!   instead of aborting the whole corpus run.
+//!   [`wla_intern::isolate`] (`catch_unwind`); a panicking container
+//!   becomes an [`ApkError::AnalysisPanic`] result feeding the broken-apps
+//!   row instead of aborting the whole corpus run.
 //! - **Contention-free output.** Workers append to private buffers that
 //!   are merged into input order after the pool joins; nothing shares a
 //!   mutex on the hot path, and batch claiming amortizes the one shared
-//!   atomic across [`PipelineConfig::batch`] apps.
+//!   atomic across [`PipelineStats::batch`] apps.
 //! - **Observability.** [`PipelineStats`] carries per-stage timers,
 //!   per-worker counters, interner counters, throughput, and a failure
 //!   taxonomy, surfaced through [`PipelineOutput::stats`] and rendered by
 //!   `wla-core`'s stats tables.
 //!
 //! Interned-IR lifecycle: each worker interns into a private
-//! [`LocalInterner`] (no synchronization while analyzing); at join time
-//! the serial tail (timed as [`PipelineStats::serial_tail_ns`]) merges
-//! worker buffers into input order and translates every symbol into the
-//! shared global [`Interner`] in three phases: a symbols-only pass in
-//! *input order* records each worker's first occurrences, the distinct
-//! strings are interned as one ordered batch into a table pre-sized from
-//! the summed lexicon sizes ([`Interner::intern_ordered`] — ids match a
-//! serial loop exactly, and wide hosts fill shards concurrently), and the
-//! resolved per-worker [`SymbolRemap`] tables rewrite the analyses.
-//! Because first-occurrence order is the input order, global symbol ids
-//! are a pure function of the corpus — independent of worker count, batch
-//! size, and scheduling — which keeps parallel and serial runs
-//! bit-identical.
+//! [`LocalInterner`](wla_intern::LocalInterner) (no synchronization while
+//! analyzing); at join time the serial tail (timed as
+//! [`PipelineStats::serial_tail_ns`]) folds the stats and hands the
+//! results to [`wla_intern::merge_in_order`], which sorts them into input
+//! order and translates every symbol into the shared global [`Interner`]
+//! through [`AppAnalysis::remap_symbols`]. Because first-occurrence order
+//! is the input order, global symbol ids are a pure function of the
+//! corpus — independent of worker count, batch size, and scheduling —
+//! which keeps parallel and serial runs bit-identical.
 
 use crate::analyze::{
     analyze_app_timed_with, AnalysisCtx, AppAnalysis, DecodeCounters, StageTimings,
@@ -40,14 +37,14 @@ use crate::analyze::{
 use crate::dataflow::DataflowCounters;
 use crate::stream::StreamCounters;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use wla_apk::{ApkError, VerifyPreset};
 use wla_callgraph::CallGraphCounters;
 use wla_corpus::playstore::AppMeta;
-use wla_intern::{Interner, LocalInterner, SymbolRemap, SymbolTable};
+use wla_intern::{isolate, merge_in_order, run_claims, Interner, SymbolTable};
 use wla_sdk_index::SdkIndex;
+
+pub use wla_intern::WorkerStats;
 
 /// One corpus entry: the metadata the Play Store provides plus the raw
 /// container bytes fetched from the archive.
@@ -62,11 +59,9 @@ pub struct CorpusInput {
 /// Pipeline configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
-    /// Worker thread count (0 ⇒ available parallelism).
+    /// Worker thread count (0 ⇒ available parallelism). Batches are
+    /// auto-sized to about eight claims per worker, clamped to `1..=32`.
     pub workers: usize,
-    /// App indices claimed per `fetch_add` (0 ⇒ auto-size: enough batches
-    /// for ~8 claims per worker, clamped to `1..=32`).
-    pub batch: usize,
     /// Collect per-stage timers into [`PipelineStats::stage`]. Costs four
     /// monotonic-clock reads per app; disable for pure-throughput runs.
     pub stage_timings: bool,
@@ -87,43 +82,11 @@ impl Default for PipelineConfig {
     fn default() -> PipelineConfig {
         PipelineConfig {
             workers: 0,
-            batch: 0,
             stage_timings: true,
             verify_preset: VerifyPreset::All,
             use_lut: true,
         }
     }
-}
-
-impl PipelineConfig {
-    fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        }
-    }
-
-    fn effective_batch(&self, n: usize, workers: usize) -> usize {
-        if self.batch > 0 {
-            self.batch
-        } else {
-            (n / (workers * 8).max(1)).clamp(1, 32)
-        }
-    }
-}
-
-/// Per-worker counters: how evenly the batch scheduler spread the corpus.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Apps this worker analyzed.
-    pub apps: usize,
-    /// Batches this worker claimed.
-    pub batches: usize,
-    /// Wall-clock nanoseconds spent inside claimed batches.
-    pub busy_ns: u64,
 }
 
 /// Interning observability for one run: how much string work the corpus
@@ -287,56 +250,61 @@ impl PipelineOutput {
     }
 }
 
-/// Render a panic payload as text for [`ApkError::AnalysisPanic`].
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-/// What one worker brings back to the merge step. Shared with the
-/// shard-streaming driver in [`crate::stream`], whose workers produce the
-/// same yields keyed by global entry index.
-pub(crate) struct WorkerYield {
+/// One worker's state: its analysis context plus what it has produced.
+/// Shared with the shard-streaming driver in [`crate::stream`], whose
+/// workers key their results by global entry index.
+pub(crate) struct WorkerYield<'c> {
+    pub(crate) ctx: AnalysisCtx<'c>,
     /// `(input index, result)` pairs, in claim order. Symbols inside are
-    /// local to this worker's `lexicon`.
+    /// local to `ctx.lexicon`.
     pub(crate) results: Vec<(usize, Result<AppAnalysis, ApkError>)>,
-    pub(crate) stats: WorkerStats,
     pub(crate) stage: StageTimings,
     pub(crate) failures: BTreeMap<&'static str, usize>,
     pub(crate) panicked: usize,
-    /// The worker's private interner; consumed by the join-time remap.
-    pub(crate) lexicon: LocalInterner,
-    /// Package-label memo hits/misses.
-    pub(crate) label_hits: u64,
-    pub(crate) label_misses: u64,
-    /// Call-graph build + traversal counters for this worker's shard.
-    pub(crate) callgraph: CallGraphCounters,
-    /// Constant-propagation counters for this worker's shard.
-    pub(crate) dataflow: DataflowCounters,
-    /// Dex-decode counters for this worker's shard.
-    pub(crate) decode: DecodeCounters,
 }
 
-impl WorkerYield {
-    /// An empty yield with a fresh lexicon.
-    pub(crate) fn empty() -> WorkerYield {
+impl<'c> WorkerYield<'c> {
+    /// An empty yield over a fresh context configured from `config`.
+    pub(crate) fn new(catalog: &'c SdkIndex, config: &PipelineConfig) -> WorkerYield<'c> {
+        let mut ctx = AnalysisCtx::new(catalog);
+        ctx.verify_preset = config.verify_preset;
+        ctx.use_lut = config.use_lut;
         WorkerYield {
+            ctx,
             results: Vec::new(),
-            stats: WorkerStats::default(),
             stage: StageTimings::default(),
             failures: BTreeMap::new(),
             panicked: 0,
-            lexicon: LocalInterner::new(),
-            label_hits: 0,
-            label_misses: 0,
-            callgraph: CallGraphCounters::default(),
-            dataflow: DataflowCounters::default(),
-            decode: DecodeCounters::default(),
+        }
+    }
+
+    /// Run one app's analysis in isolation: a panic becomes
+    /// [`ApkError::AnalysisPanic`]; timings and failures are tallied.
+    pub(crate) fn analyze(
+        &mut self,
+        stage_timings: bool,
+        analyze: impl FnOnce(&mut AnalysisCtx<'c>) -> (Result<AppAnalysis, ApkError>, StageTimings),
+    ) -> Result<AppAnalysis, ApkError> {
+        let result = match isolate(|| analyze(&mut self.ctx)) {
+            Ok((result, timings)) => {
+                if stage_timings {
+                    self.stage.accumulate(&timings);
+                }
+                result
+            }
+            Err(message) => Err(ApkError::AnalysisPanic { message }),
+        };
+        self.count(&result);
+        result
+    }
+
+    /// Tally one result into the failure taxonomy.
+    pub(crate) fn count(&mut self, result: &Result<AppAnalysis, ApkError>) {
+        if let Err(e) = result {
+            *self.failures.entry(e.kind()).or_insert(0) += 1;
+            if matches!(e, ApkError::AnalysisPanic { .. }) {
+                self.panicked += 1;
+            }
         }
     }
 }
@@ -370,181 +338,71 @@ where
     F: Fn(&CorpusInput, &mut AnalysisCtx<'_>) -> (Result<AppAnalysis, ApkError>, StageTimings)
         + Sync,
 {
-    let n = inputs.len();
-    let workers = config.effective_workers().min(n.max(1));
-    let batch = config.effective_batch(n, workers);
     let started = Instant::now();
-    let next = AtomicUsize::new(0);
-    let analyze = &analyze;
-
-    let yields: Vec<WorkerYield> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ctx = AnalysisCtx::new(catalog);
-                    ctx.verify_preset = config.verify_preset;
-                    ctx.use_lut = config.use_lut;
-                    let mut y = WorkerYield::empty();
-                    loop {
-                        let start = next.fetch_add(batch, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + batch).min(n);
-                        y.stats.batches += 1;
-                        let claimed = Instant::now();
-                        for (i, input) in inputs.iter().enumerate().take(end).skip(start) {
-                            let outcome =
-                                catch_unwind(AssertUnwindSafe(|| analyze(input, &mut ctx)));
-                            let result = match outcome {
-                                Ok((result, timings)) => {
-                                    if config.stage_timings {
-                                        y.stage.accumulate(&timings);
-                                    }
-                                    result
-                                }
-                                Err(payload) => {
-                                    y.panicked += 1;
-                                    Err(ApkError::AnalysisPanic {
-                                        message: panic_message(payload),
-                                    })
-                                }
-                            };
-                            if let Err(e) = &result {
-                                *y.failures.entry(e.kind()).or_insert(0) += 1;
-                            }
-                            y.stats.apps += 1;
-                            y.results.push((i, result));
-                        }
-                        y.stats.busy_ns += claimed.elapsed().as_nanos() as u64;
-                    }
-                    y.callgraph = ctx.callgraph_counters();
-                    y.dataflow = ctx.dataflow;
-                    y.decode = ctx.decode;
-                    y.lexicon = ctx.lexicon;
-                    y.label_hits = ctx.labels.hits;
-                    y.label_misses = ctx.labels.misses;
-                    y
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .expect("worker bodies cannot panic: analysis is wrapped in catch_unwind")
-            })
-            .collect()
-    });
-
-    join_worker_yields(n, batch, started, yields)
+    let run = run_claims(
+        inputs.len(),
+        config.workers,
+        0,
+        || WorkerYield::new(catalog, &config),
+        |y, i| {
+            let result = y.analyze(config.stage_timings, |ctx| analyze(&inputs[i], ctx));
+            y.results.push((i, result));
+        },
+    );
+    join_worker_yields(inputs.len(), run.batch, started, run.workers)
 }
 
-/// The serial join tail: merge worker buffers into input order, fold the
-/// stats, and translate worker-local symbols into one global table.
+/// The serial join tail: fold the stats, then merge worker buffers into
+/// input order and translate worker-local symbols into one global table.
 ///
 /// Shared between [`run_pipeline_with`] (whose workers claim index
 /// batches) and the shard-streaming driver in [`crate::stream`] (whose
 /// workers claim whole shards and key results by global entry index) —
 /// both produce [`WorkerYield`]s, so the deterministic input-order symbol
-/// remap below makes their outputs bit-identical for the same corpus.
+/// remap makes their outputs bit-identical for the same corpus.
 pub(crate) fn join_worker_yields(
     n: usize,
     batch: usize,
     started: Instant,
-    yields: Vec<WorkerYield>,
+    yields: Vec<(WorkerYield<'_>, WorkerStats)>,
 ) -> PipelineOutput {
     // Everything from here to return runs on one thread after the pool
     // joins — the serial tail `stats.serial_tail_ns` exposes.
     let tail_started = Instant::now();
-
-    // Merge per-worker buffers back into input order and fold the stats.
-    // Each worker's buffer is already ascending in input index (batches
-    // are claimed from a monotone counter and appended in claim order),
-    // so one flat extend + sort is a k-way merge of sorted runs with no
-    // intermediate `Vec<Option<_>>`. Entries remember which worker
-    // produced them so the remap below can consult the right lexicon.
-    let mut merged: Vec<(usize, u32, Result<AppAnalysis, ApkError>)> = Vec::with_capacity(n);
     let mut stats = PipelineStats {
         total: n,
         batch,
         ..PipelineStats::default()
     };
-    let mut lexicons: Vec<LocalInterner> = Vec::with_capacity(yields.len());
-    for (w, y) in yields.into_iter().enumerate() {
-        merged.extend(y.results.into_iter().map(|(i, r)| (i, w as u32, r)));
+    let mut parts = Vec::with_capacity(yields.len());
+    for (y, worker) in yields {
+        stats.workers.push(worker);
         stats.stage.accumulate(&y.stage);
         stats.panicked += y.panicked;
         for (kind, count) in y.failures {
             *stats.failure_kinds.entry(kind).or_insert(0) += count;
         }
-        stats.workers.push(y.stats);
-        stats.interner.local_symbols += y.lexicon.len();
-        stats.interner.local_bytes += y.lexicon.bytes();
-        stats.interner.local_hits += y.lexicon.hits();
-        stats.interner.local_misses += y.lexicon.misses();
-        stats.interner.label_hits += y.label_hits;
-        stats.interner.label_misses += y.label_misses;
-        stats.callgraph.merge(&y.callgraph);
-        stats.dataflow.merge(&y.dataflow);
-        stats.decode.merge(&y.decode);
-        lexicons.push(y.lexicon);
+        stats.interner.label_hits += y.ctx.labels.hits;
+        stats.interner.label_misses += y.ctx.labels.misses;
+        stats.callgraph.merge(&y.ctx.callgraph_counters());
+        stats.dataflow.merge(&y.ctx.dataflow);
+        stats.decode.merge(&y.ctx.decode);
+        parts.push((y.results, y.ctx.lexicon));
     }
-    merged.sort_unstable_by_key(|&(i, _, _)| i);
-    assert_eq!(merged.len(), n, "batch claiming covers every index");
-    debug_assert!(
-        merged.iter().enumerate().all(|(pos, &(i, _, _))| pos == i),
-        "batch claiming covers every index exactly once"
-    );
-
-    // Translate worker-local symbols into the global table in three
-    // phases, preserving the schedule-independent id assignment a lazy
-    // input-order walk would produce:
-    //  (A) a symbols-only pass in input order records each worker's first
-    //      occurrences and their global rank;
-    //  (B) the distinct strings are interned in rank order as one batch —
-    //      `intern_ordered` assigns exactly the ids a serial loop would,
-    //      into a table pre-sized from the summed lexicon sizes;
-    //  (C) the resolved remap tables rewrite every analysis.
-    let interner = Interner::with_capacity(stats.interner.local_symbols);
-    stats.interner.presized_symbols = stats.interner.local_symbols;
-    let mut ranks: Vec<Vec<u32>> = lexicons.iter().map(|l| vec![u32::MAX; l.len()]).collect();
-    let mut order: Vec<(u32, wla_intern::Symbol)> = Vec::new();
-    for (_, w, result) in merged.iter_mut() {
-        if let Ok(analysis) = result.as_mut() {
-            let rank = &mut ranks[*w as usize];
-            analysis.remap_symbols(&mut |sym| {
-                if rank[sym.0 as usize] == u32::MAX {
-                    rank[sym.0 as usize] = order.len() as u32;
-                    order.push((*w, sym));
-                }
-                sym
-            });
+    let merged = merge_in_order(n, parts, |result, f| {
+        if let Ok(analysis) = result {
+            analysis.remap_symbols(&mut |sym| f(sym));
         }
-    }
-    let arcs: Vec<std::sync::Arc<str>> = order
-        .iter()
-        .map(|&(w, sym)| lexicons[w as usize].resolve_arc(sym))
-        .collect();
-    let globals = interner.intern_ordered(&arcs);
-    let mut remaps: Vec<SymbolRemap> = lexicons.iter().map(|l| SymbolRemap::new(l.len())).collect();
-    for (rank, &(w, sym)) in order.iter().enumerate() {
-        remaps[w as usize].set(sym, globals[rank]);
-    }
-    let results: Vec<Result<AppAnalysis, ApkError>> = merged
-        .into_iter()
-        .map(|(_, w, mut result)| {
-            if let Ok(analysis) = &mut result {
-                let remap = &remaps[w as usize];
-                analysis.remap_symbols(&mut |sym| {
-                    remap.get(sym).expect("phase A visited every symbol")
-                });
-            }
-            result
-        })
-        .collect();
-    stats.interner.global_symbols = interner.len();
-    stats.interner.global_bytes = interner.bytes();
+    });
+    let c = merged.counters;
+    stats.interner.global_symbols = c.global_symbols;
+    stats.interner.global_bytes = c.global_bytes;
+    stats.interner.local_symbols = c.local_symbols;
+    stats.interner.local_bytes = c.local_bytes;
+    stats.interner.local_hits = c.local_hits;
+    stats.interner.local_misses = c.local_misses;
+    stats.interner.presized_symbols = c.local_symbols;
+    let results = merged.items;
     stats.broken = results.iter().filter(|r| r.is_err()).count();
     stats.analyzed = n - stats.broken;
     stats.serial_tail_ns = tail_started.elapsed().as_nanos() as u64;
@@ -552,7 +410,7 @@ pub(crate) fn join_worker_yields(
     PipelineOutput {
         results,
         stats,
-        interner,
+        interner: merged.interner,
     }
 }
 
@@ -619,37 +477,6 @@ mod tests {
         for a in par.analyzed() {
             for s in &a.webview_sites {
                 assert_eq!(ps.resolve(s.method), ss.resolve(s.method));
-            }
-        }
-    }
-
-    #[test]
-    fn batch_sizes_do_not_change_results() {
-        let catalog = SdkIndex::paper();
-        let ins = inputs(&catalog, 2_000, 19, 0.15);
-        let baseline = run_pipeline(
-            &ins,
-            &catalog,
-            PipelineConfig {
-                workers: 1,
-                batch: 1,
-                ..PipelineConfig::default()
-            },
-        );
-        for batch in [1usize, 2, 5, 17, 1000] {
-            let out = run_pipeline(
-                &ins,
-                &catalog,
-                PipelineConfig {
-                    workers: 4,
-                    batch,
-                    ..PipelineConfig::default()
-                },
-            );
-            assert_eq!(out.stats.batch, batch);
-            assert_eq!(out.results.len(), baseline.results.len());
-            for (i, (a, b)) in out.results.iter().zip(&baseline.results).enumerate() {
-                assert_eq!(a.is_ok(), b.is_ok(), "index {i} at batch {batch}");
             }
         }
     }
@@ -793,7 +620,6 @@ mod tests {
         fn stats_counters_sum_to_result_counts(
             seed in 0u64..1_000,
             workers in 1usize..9,
-            batch in 0usize..40,
             corrupt in prop_oneof![Just(0.0f64), Just(0.2f64)],
         ) {
             let catalog = SdkIndex::paper();
@@ -803,7 +629,6 @@ mod tests {
                 &catalog,
                 PipelineConfig {
                     workers,
-                    batch,
                     ..PipelineConfig::default()
                 },
             );
@@ -818,7 +643,7 @@ mod tests {
                 s.broken
             );
             prop_assert_eq!(
-                s.workers.iter().map(|w| w.apps).sum::<usize>(),
+                s.workers.iter().map(|w| w.items).sum::<usize>(),
                 s.total
             );
             prop_assert!(s.workers.len() <= workers);

@@ -1,9 +1,10 @@
 //! Shard-level streaming corpus runner: analyze a sharded on-disk corpus
 //! without ever materializing it in memory.
 //!
-//! Workers claim whole shards from one atomic counter, `mmap(2)` each
-//! shard (via [`wla_apk::ContainerSource`]) and analyze its entries
-//! through the zero-copy decode path — container bytes are read straight
+//! Workers claim whole shards, one at a time, on `wla-intern`'s claim
+//! pool ([`wla_intern::run_claims`]), `mmap(2)` each shard (via
+//! [`wla_apk::ContainerSource`]) and analyze its entries through the
+//! zero-copy decode path — container bytes are read straight
 //! from the page cache, so resident memory is bounded by the number of
 //! *concurrently open* shards, not the corpus size. Everything downstream
 //! of the workers reuses the in-memory pipeline's serial join tail
@@ -20,18 +21,19 @@
 //! silent miss. [`StreamCounters`] reports what was streamed, what was
 //! served from cache, shard-level failures, and mapped-memory usage.
 
-use crate::analyze::{analyze_app_bytes_timed_with, AnalysisCtx};
+use crate::analyze::analyze_app_bytes_timed_with;
 use crate::cache;
 use crate::pipeline::{join_worker_yields, PipelineConfig, PipelineOutput, WorkerYield};
+use crate::AppAnalysis;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use wla_apk::ApkError;
 use wla_corpus::shard::{list_shards, read_shard_stamp, Shard, ShardStamp};
+use wla_intern::run_claims;
 use wla_sdk_index::SdkIndex;
 
 /// Subdirectory of a sharded corpus holding per-shard resume caches.
@@ -40,8 +42,8 @@ pub const MANIFEST_SUBDIR: &str = "manifest";
 /// Streaming-run configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
-    /// Scheduler/analysis knobs shared with the in-memory pipeline.
-    /// `batch` is ignored: the streaming claim unit is one shard.
+    /// Scheduler/analysis knobs shared with the in-memory pipeline. The
+    /// streaming claim unit is one shard.
     pub pipeline: PipelineConfig,
     /// Memory-map shards (default). `false` falls back to buffered reads
     /// — same results, one heap copy per shard.
@@ -127,89 +129,49 @@ pub fn run_pipeline_streamed(
         fs::create_dir_all(&manifest_dir)?;
     }
     let started = Instant::now();
-    let workers = config.pipeline.workers;
-    let workers = if workers > 0 {
-        workers
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    }
-    .min(shards.len().max(1));
-    let next = AtomicUsize::new(0);
     let mapped_now = AtomicU64::new(0);
     let mapped_peak = AtomicU64::new(0);
 
-    type Pairs = Vec<(u32, u32, Result<crate::AppAnalysis, ApkError>)>;
-    let per_worker: Vec<(WorkerYield, Pairs, Vec<ShardOutcome>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ctx = AnalysisCtx::new(catalog);
-                    ctx.verify_preset = config.pipeline.verify_preset;
-                    ctx.use_lut = config.pipeline.use_lut;
-                    let mut y = WorkerYield::empty();
-                    let mut pairs: Pairs = Vec::new();
-                    let mut outcomes: Vec<ShardOutcome> = Vec::new();
-                    loop {
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        if s >= shards.len() {
-                            break;
-                        }
-                        y.stats.batches += 1;
-                        let claimed = Instant::now();
-                        let outcome = stream_one_shard(
-                            s,
-                            &shards[s],
-                            &manifest_dir,
-                            config,
-                            &mut ctx,
-                            &mut y,
-                            &mut pairs,
-                            &mapped_now,
-                            &mapped_peak,
-                        );
-                        y.stats.busy_ns += claimed.elapsed().as_nanos() as u64;
-                        outcomes.push(outcome);
-                    }
-                    y.callgraph = ctx.callgraph_counters();
-                    y.dataflow = ctx.dataflow;
-                    y.decode = ctx.decode;
-                    y.lexicon = ctx.lexicon;
-                    y.label_hits = ctx.labels.hits;
-                    y.label_misses = ctx.labels.misses;
-                    (y, pairs, outcomes)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .expect("worker bodies cannot panic: analysis is wrapped in catch_unwind")
-            })
-            .collect()
-    });
+    let run = run_claims(
+        shards.len(),
+        config.pipeline.workers,
+        1,
+        || ShardWorker {
+            y: WorkerYield::new(catalog, &config.pipeline),
+            pairs: Vec::new(),
+            outcomes: Vec::new(),
+        },
+        |w, s| {
+            let outcome = stream_one_shard(
+                s,
+                &shards[s],
+                &manifest_dir,
+                config,
+                w,
+                &mapped_now,
+                &mapped_peak,
+            );
+            w.outcomes.push(outcome);
+        },
+    );
 
     // Per-shard entry counts → prefix sums → global entry indices. Shards
     // that failed contribute zero entries; the remaining indices still
     // cover 0..n exactly once, which the join tail asserts.
     let mut counts = vec![0usize; shards.len()];
     let mut counters = StreamCounters::default();
-    for (_, _, outcomes) in &per_worker {
-        for o in outcomes {
-            counts[o.index] = o.entries;
-            counters.bytes_mapped += o.mapped_bytes;
-            if let Some(kind) = o.failure {
-                counters.shard_failures += 1;
-                *counters.shard_failure_kinds.entry(kind).or_insert(0) += 1;
-            } else if o.cached {
-                counters.shards_cached += 1;
-                counters.entries_cached += o.entries;
-            } else {
-                counters.shards_read += 1;
-                counters.entries_streamed += o.entries;
-            }
+    for o in run.workers.iter().flat_map(|(w, _)| &w.outcomes) {
+        counts[o.index] = o.entries;
+        counters.bytes_mapped += o.mapped_bytes;
+        if let Some(kind) = o.failure {
+            counters.shard_failures += 1;
+            *counters.shard_failure_kinds.entry(kind).or_insert(0) += 1;
+        } else if o.cached {
+            counters.shards_cached += 1;
+            counters.entries_cached += o.entries;
+        } else {
+            counters.shards_read += 1;
+            counters.entries_streamed += o.entries;
         }
     }
     counters.peak_mapped_bytes = mapped_peak.load(Ordering::Relaxed);
@@ -219,33 +181,43 @@ pub fn run_pipeline_streamed(
     }
     let n = base[shards.len()];
 
-    let yields: Vec<WorkerYield> = per_worker
+    let yields = run
+        .workers
         .into_iter()
-        .map(|(mut y, pairs, _)| {
-            y.results = pairs
+        .map(|(mut w, mut stats)| {
+            // A worker's items are the apps it analyzed, not its shards.
+            stats.items = w.pairs.len();
+            w.y.results = w
+                .pairs
                 .into_iter()
                 .map(|(s, e, r)| (base[s as usize] + e as usize, r))
                 .collect();
-            y
+            (w.y, stats)
         })
         .collect();
 
-    let mut output = join_worker_yields(n, 1, started, yields);
+    let mut output = join_worker_yields(n, run.batch, started, yields);
     output.stats.stream = counters;
     Ok(output)
 }
 
+/// One streaming worker's state.
+struct ShardWorker<'c> {
+    y: WorkerYield<'c>,
+    /// `(shard index, entry index, result)`, keyed by shard until every
+    /// shard's entry count is known.
+    pairs: Vec<(u32, u32, Result<AppAnalysis, ApkError>)>,
+    outcomes: Vec<ShardOutcome>,
+}
+
 /// Claim-body for one shard: resume-cache lookup, streaming analysis,
 /// cache write-back, and mapped-bytes accounting.
-#[allow(clippy::too_many_arguments)]
 fn stream_one_shard(
     index: usize,
     path: &Path,
     manifest_dir: &Path,
     config: StreamConfig,
-    ctx: &mut AnalysisCtx<'_>,
-    y: &mut WorkerYield,
-    pairs: &mut Vec<(u32, u32, Result<crate::AppAnalysis, ApkError>)>,
+    w: &mut ShardWorker<'_>,
     mapped_now: &AtomicU64,
     mapped_peak: &AtomicU64,
 ) -> ShardOutcome {
@@ -257,20 +229,16 @@ fn stream_one_shard(
         mapped_bytes: 0,
     };
     let cache_path = cache_path_for(manifest_dir, path);
+    let ShardWorker { y, pairs, .. } = w;
 
     if config.resume {
         if let Ok(stamp) = read_shard_stamp(path) {
-            if let Some(results) = cache::load_result_cache(&cache_path, stamp, &mut ctx.lexicon) {
+            if let Some(results) = cache::load_result_cache(&cache_path, stamp, &mut y.ctx.lexicon)
+            {
                 outcome.cached = true;
                 outcome.entries = results.len();
                 for (e, result) in results.into_iter().enumerate() {
-                    if let Err(err) = &result {
-                        *y.failures.entry(err.kind()).or_insert(0) += 1;
-                        if matches!(err, ApkError::AnalysisPanic { .. }) {
-                            y.panicked += 1;
-                        }
-                    }
-                    y.stats.apps += 1;
+                    y.count(&result);
                     pairs.push((index as u32, e as u32, result));
                 }
                 return outcome;
@@ -306,27 +274,9 @@ fn stream_one_shard(
     for e in 0..shard.len() {
         let meta = shard.entry_meta(e).clone();
         let bytes = shard.entry_bytes(e);
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
+        let result = y.analyze(config.pipeline.stage_timings, |ctx| {
             analyze_app_bytes_timed_with(meta, bytes, ctx)
-        }));
-        let result = match attempt {
-            Ok((result, timings)) => {
-                if config.pipeline.stage_timings {
-                    y.stage.accumulate(&timings);
-                }
-                result
-            }
-            Err(payload) => {
-                y.panicked += 1;
-                Err(ApkError::AnalysisPanic {
-                    message: crate::pipeline::panic_message(payload),
-                })
-            }
-        };
-        if let Err(err) = &result {
-            *y.failures.entry(err.kind()).or_insert(0) += 1;
-        }
-        y.stats.apps += 1;
+        });
         pairs.push((index as u32, e as u32, result));
     }
     outcome.entries = shard.len();
@@ -338,9 +288,9 @@ fn stream_one_shard(
             checksum: shard.checksum(),
             file_len: shard.file_len(),
         };
-        let refs: Vec<&Result<crate::AppAnalysis, ApkError>> =
+        let refs: Vec<&Result<AppAnalysis, ApkError>> =
             pairs[first..].iter().map(|(_, _, r)| r).collect();
-        let _ = cache::write_result_cache(&cache_path, stamp, &refs, &ctx.lexicon);
+        let _ = cache::write_result_cache(&cache_path, stamp, &refs, &y.ctx.lexicon);
     }
 
     if shard.is_mapped() {

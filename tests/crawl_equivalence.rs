@@ -1,7 +1,7 @@
 //! The crawl pipeline's determinism and fault-isolation contracts.
 //!
-//! * parallel == serial: `run_crawl_study_parallel` is bit-identical to
-//!   the one-worker oracle at every worker count and over site subsets —
+//! * parallel == serial: `run_crawl_pipeline` is bit-identical to the
+//!   one-worker oracle at every worker count and over site subsets —
 //!   records, figures, failure list, and visit counts;
 //! * interned == string oracle: resolving the interned records and folding
 //!   the interned figures reproduces exactly what the string-path
@@ -13,8 +13,9 @@ use std::collections::BTreeSet;
 use wla_crawler::driver::{crawl_app, crawl_baseline, figure6, run_visit_prepared};
 use wla_crawler::sites::{top_100_sites, TopSite};
 use wla_device::iab::all_profiles;
-use wla_dynamic::crawl_study::{run_crawl_study, run_crawl_study_parallel};
-use wla_dynamic::{run_crawl_pipeline_with, CrawlConfig, CrawlFailureKind, CrawlStudy};
+use wla_dynamic::{
+    run_crawl_pipeline, run_crawl_pipeline_with, CrawlConfig, CrawlFailureKind, CrawlOutput,
+};
 
 const APPS: &[&str] = &["LinkedIn", "Kik", "Snapchat"];
 
@@ -22,10 +23,15 @@ fn subset(n: usize, step: usize) -> Vec<TopSite> {
     top_100_sites().into_iter().step_by(step).take(n).collect()
 }
 
+/// The one-worker (inline) crawl — the oracle parallel runs must match.
+fn serial(sites: &[TopSite], apps: &[&str]) -> CrawlOutput {
+    run_crawl_pipeline(sites, Some(apps), CrawlConfig { workers: 1 })
+}
+
 /// Structural bit-identity between two study outputs: every record,
 /// figure, failure, and the visit counters. Symbol tables are compared
 /// through the records they resolve.
-fn assert_identical(a: &CrawlStudy, b: &CrawlStudy) {
+fn assert_identical(a: &CrawlOutput, b: &CrawlOutput) {
     assert_eq!(a.baseline, b.baseline);
     assert_eq!(a.per_app, b.per_app);
     assert_eq!(a.figures, b.figures);
@@ -48,49 +54,14 @@ fn assert_identical(a: &CrawlStudy, b: &CrawlStudy) {
 #[test]
 fn parallel_matches_serial_at_every_worker_count() {
     let sites = subset(12, 7);
-    let serial = run_crawl_study_parallel(
-        Some(sites.clone()),
-        Some(APPS),
-        CrawlConfig {
-            workers: 1,
-            batch: 0,
-            oversubscribe: true,
-        },
-    );
+    let serial = serial(&sites, APPS);
     assert_eq!(serial.stats.visits_total, 4 * 12);
     for workers in 2..=8 {
-        let parallel = run_crawl_study_parallel(
-            Some(sites.clone()),
-            Some(APPS),
-            CrawlConfig {
-                workers,
-                batch: 0,
-                oversubscribe: true,
-            },
-        );
-        // Oversubscription is on, so the pool is exactly as requested —
-        // real threads even on a single-core host.
+        let parallel = run_crawl_pipeline(&sites, Some(APPS), CrawlConfig { workers });
+        // An explicit worker count is honored, so the pool is exactly as
+        // requested — real threads even on a single-core host.
         assert_eq!(parallel.stats.workers.len(), workers);
         assert_identical(&serial, &parallel);
-    }
-}
-
-#[test]
-fn batch_size_does_not_change_the_output() {
-    let sites = subset(10, 3);
-    let oracle = run_crawl_study(Some(sites.clone()), Some(&["Kik"]));
-    for batch in [1, 3, 7, 32] {
-        let run = run_crawl_study_parallel(
-            Some(sites.clone()),
-            Some(&["Kik"]),
-            CrawlConfig {
-                workers: 3,
-                batch,
-                oversubscribe: true,
-            },
-        );
-        assert_eq!(run.stats.batch, batch);
-        assert_identical(&oracle, &run);
     }
 }
 
@@ -98,16 +69,8 @@ fn batch_size_does_not_change_the_output() {
 fn site_subsets_preserve_equivalence() {
     for (n, step) in [(1, 1), (5, 19), (20, 5)] {
         let sites = subset(n, step);
-        let serial = run_crawl_study(Some(sites.clone()), Some(&["LinkedIn"]));
-        let parallel = run_crawl_study_parallel(
-            Some(sites),
-            Some(&["LinkedIn"]),
-            CrawlConfig {
-                workers: 4,
-                batch: 0,
-                oversubscribe: true,
-            },
-        );
+        let serial = serial(&sites, &["LinkedIn"]);
+        let parallel = run_crawl_pipeline(&sites, Some(&["LinkedIn"]), CrawlConfig { workers: 4 });
         assert_identical(&serial, &parallel);
     }
 }
@@ -115,7 +78,7 @@ fn site_subsets_preserve_equivalence() {
 #[test]
 fn interned_study_matches_string_oracle() {
     let sites = subset(15, 6);
-    let study = run_crawl_study(Some(sites.clone()), Some(APPS));
+    let study = serial(&sites, APPS);
     let baseline = crawl_baseline(&sites);
 
     // Baseline host sets resolve to exactly the oracle's.
@@ -195,11 +158,7 @@ fn poisoned_site_is_isolated_and_counted() {
         let run = run_crawl_pipeline_with(
             &sites,
             Some(&["Kik"]),
-            CrawlConfig {
-                workers,
-                batch: 2,
-                oversubscribe: true,
-            },
+            CrawlConfig { workers },
             |site, page, profile, session| {
                 if site.host == poisoned {
                     panic!("injected crawl fault for {}", site.host);
@@ -245,11 +204,7 @@ fn poisoned_runs_stay_deterministic_across_worker_counts() {
         run_crawl_pipeline_with(
             &sites,
             Some(&["LinkedIn"]),
-            CrawlConfig {
-                workers,
-                batch: 0,
-                oversubscribe: true,
-            },
+            CrawlConfig { workers },
             |site, page, profile, session| {
                 if site.host == poisoned {
                     panic!("injected crawl fault");

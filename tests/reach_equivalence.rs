@@ -10,8 +10,8 @@
 //! 2. targeted deep-override chains pin nearest-definition-wins vtable
 //!    binding against the oracle's superclass walk;
 //! 3. the full pipeline produces identical results regardless of worker
-//!    count and batch size — which also proves the per-worker
-//!    `ReachScratch` leaks no visited state between apps.
+//!    count — which also proves the per-worker `ReachScratch` leaks no
+//!    visited state between apps.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -311,14 +311,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Pipeline results are bit-identical across worker counts and batch
-    /// sizes. Each worker reuses one `ReachScratch` across its whole shard,
-    /// so this also proves traversal state never leaks between apps.
+    /// Pipeline results are bit-identical across worker counts. Each
+    /// worker reuses one `ReachScratch` across its whole shard, so this
+    /// also proves traversal state never leaks between apps.
     #[test]
-    fn records_independent_of_worker_count_and_batch(
+    fn records_independent_of_worker_count(
         seed in 0u64..10_000,
         workers in 1usize..8,
-        batch in 0usize..40,
     ) {
         let catalog = SdkIndex::paper();
         let cfg = CorpusConfig {
@@ -335,12 +334,12 @@ proptest! {
         let base = run_pipeline(
             &inputs,
             &catalog,
-            PipelineConfig { workers: 1, batch: 1, ..PipelineConfig::default() },
+            PipelineConfig { workers: 1, ..PipelineConfig::default() },
         );
         let out = run_pipeline(
             &inputs,
             &catalog,
-            PipelineConfig { workers, batch, ..PipelineConfig::default() },
+            PipelineConfig { workers, ..PipelineConfig::default() },
         );
         prop_assert_eq!(out.results.len(), base.results.len());
         for (a, b) in out.results.iter().zip(&base.results) {

@@ -12,9 +12,7 @@ use whatcha_lookin_at::stats::{
     render_crawl_stats, render_pipeline_stats, render_server_stats, render_url_origin_census,
 };
 use whatcha_lookin_at::wla_callgraph::CallGraphCounters;
-use whatcha_lookin_at::wla_dynamic::crawl_pipeline::{
-    CrawlInternerCounters, CrawlStats, CrawlWorkerStats,
-};
+use whatcha_lookin_at::wla_dynamic::crawl_pipeline::{CrawlInternerCounters, CrawlStats};
 use whatcha_lookin_at::wla_net::ServerStatsSnapshot;
 use whatcha_lookin_at::wla_static::{
     DataflowCounters, DecodeCounters, InternerCounters, PipelineStats, StageTimings,
@@ -38,7 +36,7 @@ fn pipeline_full() -> PipelineStats {
         batch: 22,
         workers: vec![
             WorkerStats {
-                apps: 183,
+                items: 183,
                 batches: 9,
                 busy_ns: 300_000_000,
             };
@@ -106,8 +104,8 @@ fn crawl_full() -> CrawlStats {
         requests_logged: 54_321,
         failure_kinds: BTreeMap::from([("visit-panic", 1)]),
         workers: vec![
-            CrawlWorkerStats {
-                visits: 137,
+            WorkerStats {
+                items: 137,
                 batches: 8,
                 busy_ns: 1_375_000,
             };
